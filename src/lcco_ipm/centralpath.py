@@ -383,16 +383,25 @@ def check_eq117_inequality(w_grid, r: int) -> bool:
     so components within 1e-9 of 1 are rejected rather than evaluated.
     For r = 1 the numerator vanishes identically and the bound pins the
     ratio to zero.
+
+    The ratio is evaluated in the factored form
+
+        S1 ((r-1) w^r + 1 + r w^(r-1)) / S0^2,
+        S1 = sum_{k=0}^{r-2} (k+1) w^k,   S0 = sum_{k=0}^{r-1} w^k,
+
+    which follows from numerator = ((r-1) w^r + 1)^2 - (r w^(r-1))^2,
+    (r-1) w^r - r w^(r-1) + 1 = (1-w)^2 S1 and 1 - w^r = (1-w) S0.  It
+    has no subtraction for w > 0, so it stays accurate next to w = 1,
+    where the expanded numerator cancels.
     """
     r = _checked_power(r)
     w = _interior_vector(w_grid, "w_grid")
     if np.any(np.abs(w - 1.0) < _UNIT_EXCLUSION):
         raise ValueError("w_grid must exclude a neighbourhood of 1")
-    wr = w**r
-    numerator = (
-        (r - 1) ** 2 * wr**2 + (2 * r - 2) * wr - r**2 * (w ** (r - 1)) ** 2 + 1.0
-    )
-    ratio = numerator / (1.0 - wr) ** 2
+    powers = w ** np.arange(r)[:, np.newaxis]
+    s0 = powers.sum(axis=0)
+    s1 = (np.arange(1, r)[:, np.newaxis] * powers[:-1]).sum(axis=0)
+    ratio = s1 * ((r - 1) * w**r + 1.0 + r * w ** (r - 1)) / s0**2
     upper = float((r - 1) ** 2)
     return bool(
         np.all(ratio >= -MONITOR_SLACK) and np.all(ratio <= upper + MONITOR_SLACK)

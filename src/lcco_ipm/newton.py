@@ -13,26 +13,27 @@ Eliminating dz = (h - z dx) / x leaves the symmetric indefinite system
     [ A   0  ] [ u  ] = [   0   ],      M = H + diag(z / x),  dy = -u.
 
 The block matrix is symmetrically equilibrated, factored once per step
-with a Bunch-Kaufman LDL' factorization, and solved with one pass of
-iterative refinement against the unscaled matrix.  No regularization is
-applied: the monitors downstream must grade the true Newton step, so a
-near-singular system is reported as a failure instead of being nudged.
+by dense LU with partial pivoting (LAPACK getrf), and solved (getrs)
+with one pass of iterative refinement against the unscaled matrix.  No
+regularization is applied: the monitors downstream must grade the true
+Newton step, so a near-singular system is reported as a failure instead
+of being nudged.
 
-The condition estimate is the extreme eigenvalue-magnitude ratio of the
-factorization's block-diagonal factor, taken after equilibration.  The
-raw matrix legitimately reaches condition 1/mu^2 near convergence, which
-says nothing about solvability; the equilibrated estimate stays modest on
-healthy systems and explodes past the failure threshold exactly when A
-loses row rank or M degenerates.
+The condition estimate is 1/rcond from LAPACK gecon, the 1-norm
+reciprocal condition estimate computed from the LU factors of the
+equilibrated matrix.  The raw matrix legitimately reaches condition
+1/mu^2 near convergence, which says nothing about solvability; the
+equilibrated estimate stays modest on healthy systems and explodes past
+the failure threshold exactly when A loses row rank or M degenerates.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import ldl, solve_triangular
+from scipy.linalg.lapack import dgecon, dgetrf, dgetrs
 
 from .centralpath import InteriorError, IterateState, p_vector, scaling_vector
 from .problem import Problem
@@ -74,91 +75,26 @@ class NewtonStep:
     residual: float
 
 
-def _solve_block_diagonal(d: np.ndarray, rhs: np.ndarray) -> np.ndarray:
-    """Solve d out = rhs where d holds 1x1 and symmetric 2x2 pivot blocks.
-
-    A 2x2 block starting at row i is marked by a nonzero subdiagonal entry
-    d[i+1, i]; blocks never overlap, so the starts are never adjacent.
-    """
-    diagonal = np.diagonal(d)
-    sub = np.diagonal(d, offset=-1)
-    pairs = np.flatnonzero(sub != 0.0)
-    if not pairs.size:
-        return rhs / diagonal
-    # A 2x2 pivot may carry zeros on the main diagonal, so the scalar
-    # division must skip the rows the blocks cover.
-    singles = np.ones(rhs.shape[0], dtype=bool)
-    singles[pairs] = False
-    singles[pairs + 1] = False
-    out = np.empty_like(rhs)
-    out[singles] = rhs[singles] / diagonal[singles]
-    a = diagonal[pairs]
-    b = sub[pairs]
-    c = diagonal[pairs + 1]
-    det = a * c - b * b
-    r0 = rhs[pairs]
-    r1 = rhs[pairs + 1]
-    out[pairs] = (c * r0 - b * r1) / det
-    out[pairs + 1] = (a * r1 - b * r0) / det
-    return out
-
-
-def _block_condition(d: np.ndarray) -> float:
-    """Eigenvalue-magnitude ratio of a 1x1/2x2 block-diagonal matrix."""
-    eigenvalues = np.diagonal(d).copy()
-    sub = np.diagonal(d, offset=-1)
-    pairs = np.flatnonzero(sub != 0.0)
-    if pairs.size:
-        mid = 0.5 * (eigenvalues[pairs] + eigenvalues[pairs + 1])
-        radius = np.hypot(0.5 * (eigenvalues[pairs] - eigenvalues[pairs + 1]), sub[pairs])
-        eigenvalues[pairs] = mid + radius
-        eigenvalues[pairs + 1] = mid - radius
-    magnitudes = np.abs(eigenvalues)
-    smallest = float(magnitudes.min())
-    if smallest == 0.0 or not np.all(np.isfinite(magnitudes)):
-        return math.inf
-    return float(magnitudes.max()) / smallest
-
-
 @dataclass(frozen=True, eq=False)
 class KktFactorization:
     """Factored step system [[M, A'], [A, 0]] with M = H + diag(z/x).
 
-    Stores the assembled matrix, the symmetric equilibration scale s (the
-    factorization is of diag(s) K diag(s)), and the LDL' factors.  `solve`
-    answers the unscaled system; `reconstruct` multiplies the factors back
-    out for verification.
+    Stores the assembled matrix, the symmetric equilibration scale s, the
+    LAPACK getrf LU factors and row pivots of diag(s) K diag(s), and the
+    gecon 1-norm condition estimate of that equilibrated matrix.  `solve`
+    answers the unscaled system.
     """
 
     matrix: np.ndarray
     scale: np.ndarray
-    lower: np.ndarray
-    block_diag: np.ndarray
-    perm: np.ndarray
+    lu: np.ndarray
+    pivots: np.ndarray
     condition_estimate: float
-    _permuted_lower: np.ndarray = field(init=False, repr=False)
-
-    def __post_init__(self):
-        object.__setattr__(self, "_permuted_lower", self.lower[self.perm])
 
     def solve(self, rhs: np.ndarray) -> np.ndarray:
         """Solve matrix @ out = rhs through the equilibrated factors."""
-        v = (np.asarray(rhs, dtype=float) * self.scale)[self.perm]
-        v = solve_triangular(
-            self._permuted_lower, v, lower=True, unit_diagonal=True, check_finite=False
-        )
-        v = _solve_block_diagonal(self.block_diag, v)
-        v = solve_triangular(
-            self._permuted_lower.T, v, lower=False, unit_diagonal=True, check_finite=False
-        )
-        out = np.empty_like(v)
-        out[self.perm] = v
-        return out * self.scale
-
-    def reconstruct(self) -> np.ndarray:
-        """Multiply the factors back out to the unscaled block matrix."""
-        scaled = self.lower @ self.block_diag @ self.lower.T
-        return scaled / (self.scale[:, np.newaxis] * self.scale[np.newaxis, :])
+        v, _ = dgetrs(self.lu, self.pivots, np.asarray(rhs, dtype=float) * self.scale)
+        return v * self.scale
 
 
 def newton_rhs(state: IterateState, mu: float, r: int) -> np.ndarray:
@@ -195,22 +131,20 @@ def assemble_and_factor(p: Problem, state: IterateState) -> KktFactorization:
     row_peak[row_peak == 0.0] = 1.0
     scale = 1.0 / np.sqrt(row_peak)
     equilibrated = kkt * scale[:, np.newaxis] * scale[np.newaxis, :]
-    lower, block_diag, perm = ldl(equilibrated, lower=True)
-    estimate = _block_condition(block_diag)
+    lu, pivots, info = dgetrf(equilibrated)
+    if info > 0:
+        raise NumericalError(f"step system singular (zero pivot in column {info})")
+    rcond = dgecon(lu, np.linalg.norm(equilibrated, 1))[0]
+    estimate = 1.0 / rcond if 0.0 < rcond < math.inf else math.inf
     if estimate > SINGULAR_CONDITION:
         raise NumericalError(
             f"step system numerically singular "
             f"(condition estimate {estimate:.3e} exceeds {SINGULAR_CONDITION:.0e})"
         )
-    for arr in (kkt, scale, lower, block_diag, perm):
+    for arr in (kkt, scale, lu, pivots):
         arr.setflags(write=False)
     return KktFactorization(
-        matrix=kkt,
-        scale=scale,
-        lower=lower,
-        block_diag=block_diag,
-        perm=perm,
-        condition_estimate=estimate,
+        matrix=kkt, scale=scale, lu=lu, pivots=pivots, condition_estimate=estimate
     )
 
 

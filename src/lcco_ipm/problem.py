@@ -431,11 +431,13 @@ def _bare_keyword(lines: _Lines, keyword: str) -> None:
 
 
 def _matrix(lines: _Lines, rows: int, cols: int, what: str) -> np.ndarray:
-    out = np.empty((rows, cols))
+    # Built from the rows actually read, so a header declaring a huge
+    # shape fails on its first short row instead of allocating up front.
+    parsed = []
     for i in range(rows):
         lineno, raw = lines.take(f"row {i + 1} of {what}")
-        out[i] = _numbers(lineno, raw, cols, f"row {i + 1} of {what}")
-    return out
+        parsed.append(_numbers(lineno, raw, cols, f"row {i + 1} of {what}"))
+    return np.array(parsed)
 
 
 def _labelled_row(lines: _Lines, label: str, count: int) -> np.ndarray:

@@ -113,6 +113,7 @@ class SolverConfig:
     def __post_init__(self):
         if not (
             isinstance(self.epsilon, (int, float))
+            and not isinstance(self.epsilon, bool)
             and math.isfinite(self.epsilon)
             and self.epsilon > 0
         ):

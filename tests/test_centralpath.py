@@ -329,6 +329,13 @@ class TestKernelRatioGrid:
         w = np.array([0.5, 2.0, 5.0])
         assert check_eq117_inequality(w, 2) is True
 
+    def test_holds_next_to_the_removable_singularity(self):
+        # The expanded numerator cancels next to w = 1, and at r = 2 the
+        # ratio sits exactly on its upper bound there.
+        for r in range(1, 6):
+            for w in (0.99999, 1.00001, 1.0 + 1e-7, 1.0 - 1e-7):
+                assert check_eq117_inequality([w], r) is True, (w, r)
+
     def test_rejects_the_removable_singularity(self):
         with pytest.raises(ValueError):
             check_eq117_inequality([0.5, 1.0], 2)

@@ -78,6 +78,16 @@ class TestExitCodes:
         assert main(["solve", str(path)]) == 1
         assert "line 3" in capsys.readouterr().err
 
+    def test_huge_declared_shape_is_a_parse_error(self, tmp_path, capsys):
+        # The header asks for 2e12 entries; the parser must fail on the
+        # first short row, not allocate what the header declares.
+        path = tmp_path / "huge.lcco"
+        path.write_text("LCCO 1\nn 2000000\nm 1000000\nA\n1 1\n")
+        assert main(["solve", str(path)]) == 1
+        err = capsys.readouterr().err
+        assert "line 5, column 1" in err
+        assert "Traceback" not in err
+
     def test_help_exits_zero(self, capsys):
         assert main(["--help"]) == 0
         assert "solve" in capsys.readouterr().out

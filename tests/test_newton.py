@@ -2,10 +2,11 @@
 
 The small hand instance is graded against a dense np.linalg.solve of the
 full saddle system, which is an independent path around the package's
-symmetric indefinite factorization.
+equilibrated LU factorization.
 """
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -104,13 +105,14 @@ class TestHandInstance:
 
 
 class TestFactorization:
-    def test_reconstructs_the_assembled_matrix(self):
+    def test_factors_reproduce_the_assembled_matrix(self):
         p = generate_instance(8, 4, "quadratic", 21)
         state = IterateState.from_point(p.start.x0, p.start.y0, p.start.z0, 1.0)
         factorization = assemble_and_factor(p, state)
-        rebuilt = factorization.reconstruct()
+        identity = np.eye(factorization.matrix.shape[0])
+        inverse = np.column_stack([factorization.solve(e) for e in identity])
         scale = np.abs(factorization.matrix).max()
-        assert np.abs(rebuilt - factorization.matrix).max() <= 1e-10 * scale
+        assert np.abs(factorization.matrix @ inverse - identity).max() <= 1e-10 * scale
 
     def test_solve_matches_a_dense_solver(self):
         p = generate_instance(8, 4, "quadratic", 22)
@@ -136,6 +138,29 @@ class TestFactorization:
         )
         state = IterateState.from_point([1.0, 1.0], [0.0, 0.0], [1.0, 1.0], 1.0)
         with pytest.raises(NumericalError):
+            assemble_and_factor(p, state)
+
+    def test_exactly_singular_system_raises_without_a_warning(self):
+        # Identical rows of A leave an exact zero pivot in the LU factors.
+        p = Problem(
+            A=[[1.0, 1.0], [1.0, 1.0]],
+            b=[2.0, 2.0],
+            objective=ObjectiveSpec.linear([1.0, 1.0]),
+        )
+        state = IterateState.from_point([1.0, 1.0], [0.0, 0.0], [1.0, 1.0], 1.0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NumericalError, match="singular"):
+                assemble_and_factor(p, state)
+
+    def test_nearly_dependent_rows_raise_on_the_condition_estimate(self):
+        p = Problem(
+            A=[[1.0, 1.0], [1.0, 1.0 + 1e-9]],
+            b=[2.0, 2.0],
+            objective=ObjectiveSpec.linear([1.0, 1.0]),
+        )
+        state = IterateState.from_point([1.0, 1.0], [0.0, 0.0], [1.0, 1.0], 1.0)
+        with pytest.raises(NumericalError, match="condition estimate"):
             assemble_and_factor(p, state)
 
     def test_boundary_iterate_raises(self):
