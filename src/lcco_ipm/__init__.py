@@ -46,7 +46,6 @@ from .problem import (
     Problem,
     StartPoint,
     generate_instance,
-    objective_eval,
     parse_instance,
     serialize_instance,
     validate_start,
@@ -119,7 +118,6 @@ __all__ = [
     "monitor_step",
     "newton_rhs",
     "newton_step",
-    "objective_eval",
     "p_vector",
     "parse_instance",
     "proximity",

@@ -10,12 +10,11 @@ from __future__ import annotations
 
 import argparse
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
 
 from .problem import generate_instance, parse_instance, serialize_instance
-from .solver import AUTO, SolveResult, SolverConfig, solve, trace_to_csv
+from .solver import AUTO, SolveResult, SolverConfig, gamma_threshold, solve, trace_to_csv
 from .verifier import (
     LP_SIZE_LIMIT,
     QP_SIZE_LIMIT,
@@ -153,12 +152,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--eps", type=float, default=1e-6, help="duality-gap target (default 1e-6)"
     )
     p_sweep.add_argument("--out", required=True, help="output CSV path")
-    p_sweep.add_argument(
-        "--jobs",
-        type=int,
-        default=1,
-        help="run up to this many solves concurrently (default 1)",
-    )
     p_sweep.set_defaults(func=run_sweep)
     return parser
 
@@ -199,7 +192,7 @@ def _print_summary(path: str, problem, cfg: SolverConfig, result: SolveResult) -
     print(
         f"config: r={cfg.r} epsilon={cfg.epsilon:g} theta={theta:.12g}"
         f"{' (auto)' if cfg.theta == AUTO else ''}"
-        f" gamma<{cfg.resolved_gamma():.12g}"
+        f" gamma<{gamma_threshold(cfg.r):.12g}"
     )
     print(
         f"status: {result.status} after {result.iterations} iterations "
@@ -279,6 +272,10 @@ def run_generate(args) -> int:
         problem = generate_instance(args.n, args.m, args.objective, args.seed)
     except (ValueError, TypeError) as exc:
         raise _UsageError(str(exc)) from None
+    except MemoryError:
+        raise _UsageError(
+            f"cannot allocate an instance with n={args.n}, m={args.m}"
+        ) from None
     try:
         Path(args.out).write_text(serialize_instance(problem))
     except OSError as exc:
@@ -294,8 +291,6 @@ def run_sweep(args) -> int:
     problem = _load_problem(args.instance)
     if args.r_max < 1:
         raise _UsageError(f"--r-max must be at least 1, got {args.r_max}")
-    if args.jobs < 1:
-        raise _UsageError(f"--jobs must be at least 1, got {args.jobs}")
     if problem.start is None:
         print(
             f"error: {args.instance} has no start block; the solver needs an "
@@ -304,11 +299,7 @@ def run_sweep(args) -> int:
         )
         return 2
     configs = [_build_config(args, r) for r in range(1, args.r_max + 1)]
-    if args.jobs > 1:
-        with ThreadPoolExecutor(max_workers=args.jobs) as pool:
-            results = list(pool.map(lambda cfg: solve(problem, cfg), configs))
-    else:
-        results = [solve(problem, cfg) for cfg in configs]
+    results = [solve(problem, cfg) for cfg in configs]
     rows = [
         SweepRow(
             r=cfg.r,

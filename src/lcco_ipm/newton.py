@@ -1,7 +1,6 @@
 """Assembly and solution of the full-Newton-step equations.
 
-At an interior iterate (x, y, z) with target barrier value mu the step
-solves
+At an interior iterate (x, y, z) with barrier value mu the step solves
 
     A dx = 0
     A' dy + dz = H dx            H = hessian of f at x
@@ -35,7 +34,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.linalg.lapack import dgecon, dgetrf, dgetrs
 
-from .centralpath import InteriorError, IterateState, p_vector, scaling_vector
+from .centralpath import InteriorError, IterateState, p_vector
 from .problem import Problem
 
 __all__ = [
@@ -79,33 +78,40 @@ class NewtonStep:
 class KktFactorization:
     """Factored step system [[M, A'], [A, 0]] with M = H + diag(z/x).
 
-    Stores the assembled matrix, the symmetric equilibration scale s, the
-    LAPACK getrf LU factors and row pivots of diag(s) K diag(s), and the
-    gecon 1-norm condition estimate of that equilibrated matrix.  `solve`
-    answers the unscaled system.
+    Stores the assembled matrix, the objective Hessian H it was built
+    from, the symmetric equilibration scale s, the LAPACK getrf LU factors
+    and row pivots of diag(s) K diag(s), and the gecon 1-norm condition
+    estimate of that equilibrated matrix.  `solve` answers the unscaled
+    system.
     """
 
     matrix: np.ndarray
+    hessian: np.ndarray
     scale: np.ndarray
     lu: np.ndarray
     pivots: np.ndarray
     condition_estimate: float
 
     def solve(self, rhs: np.ndarray) -> np.ndarray:
-        """Solve matrix @ out = rhs through the equilibrated factors."""
-        v, _ = dgetrs(self.lu, self.pivots, np.asarray(rhs, dtype=float) * self.scale)
-        return v * self.scale
+        """Solve matrix @ out = rhs through the equilibrated factors.
+
+        rhs is a vector or a matrix whose columns are right-hand sides;
+        the scale applies along its rows either way.
+        """
+        rhs = np.asarray(rhs, dtype=float)
+        scale = self.scale if rhs.ndim == 1 else self.scale[:, np.newaxis]
+        v, _ = dgetrs(self.lu, self.pivots, rhs * scale)
+        return v * scale
 
 
-def newton_rhs(state: IterateState, mu: float, r: int) -> np.ndarray:
+def newton_rhs(state: IterateState, r: int) -> np.ndarray:
     """Right-hand side h = mu w p_w of the complementarity equation.
 
-    w is recomputed at the given mu, which may differ from state.mu: the
-    main loop shrinks the barrier value first and then aims the step at
-    the new center.  h is zero exactly on that center.
+    mu is state.mu and w its cached scaling vector: the main loop shrinks
+    the barrier value and builds the state at the new value, so the step
+    aims at that mu-center.  h is zero exactly on it.
     """
-    w = scaling_vector(state.x, state.z, mu)
-    return mu * w * p_vector(w, r)
+    return state.mu * state.w * p_vector(state.w, r)
 
 
 def assemble_and_factor(p: Problem, state: IterateState) -> KktFactorization:
@@ -144,19 +150,24 @@ def assemble_and_factor(p: Problem, state: IterateState) -> KktFactorization:
     for arr in (kkt, scale, lu, pivots):
         arr.setflags(write=False)
     return KktFactorization(
-        matrix=kkt, scale=scale, lu=lu, pivots=pivots, condition_estimate=estimate
+        matrix=kkt,
+        hessian=hessian,
+        scale=scale,
+        lu=lu,
+        pivots=pivots,
+        condition_estimate=estimate,
     )
 
 
-def newton_step(p: Problem, state: IterateState, mu: float, r: int) -> NewtonStep:
-    """Solve the step equations at (state, mu) to working accuracy.
+def newton_step(p: Problem, state: IterateState, r: int) -> NewtonStep:
+    """Solve the step equations at state, aimed at its own mu, to working accuracy.
 
     One iterative-refinement pass against the unscaled matrix follows the
     factored solve; the three step equations are then verified and the
     worst relative residual is returned on the step.  A residual above
     RESIDUAL_LIMIT, like a singular factorization, raises NumericalError.
     """
-    h = newton_rhs(state, mu, r)
+    h = newton_rhs(state, r)
     factorization = assemble_and_factor(p, state)
     n = p.n
     rhs = np.zeros(n + p.m)
@@ -166,9 +177,8 @@ def newton_step(p: Problem, state: IterateState, mu: float, r: int) -> NewtonSte
     dx = solution[:n]
     dy = -solution[n:]
     dz = (h - state.z * dx) / state.x
-    hessian = p.objective.evaluate(state.x)[2]
     primal = float(np.linalg.norm(p.A @ dx)) / (1.0 + float(np.linalg.norm(dx)))
-    dual = float(np.linalg.norm(p.A.T @ dy + dz - hessian @ dx)) / (
+    dual = float(np.linalg.norm(p.A.T @ dy + dz - factorization.hessian @ dx)) / (
         1.0 + float(np.linalg.norm(dz))
     )
     complementarity = float(np.linalg.norm(state.z * dx + state.x * dz - h)) / (

@@ -30,7 +30,6 @@ __all__ = [
     "Problem",
     "StartPoint",
     "FeasibilityReport",
-    "objective_eval",
     "parse_instance",
     "serialize_instance",
     "generate_instance",
@@ -157,11 +156,6 @@ class ObjectiveSpec:
         return value, self.c + qx, self._hessian
 
 
-def objective_eval(spec: ObjectiveSpec, x) -> tuple[float, np.ndarray, np.ndarray]:
-    """Functional form of ObjectiveSpec.evaluate."""
-    return spec.evaluate(x)
-
-
 @dataclass(frozen=True, eq=False)
 class StartPoint:
     """Candidate interior start (x0, y0, z0).
@@ -261,14 +255,12 @@ class FeasibilityReport:
     admissible: bool
 
 
-def validate_start(
-    p: Problem, s: StartPoint, r: int, *, gamma_limit: Optional[float] = None
-) -> FeasibilityReport:
+def validate_start(p: Problem, s: StartPoint, r: int) -> FeasibilityReport:
     """Grade a candidate start against the solver's admission conditions.
 
-    The default proximity threshold is 1/e^r; pass `gamma_limit` to grade
-    against a custom one (the solver does this when its config overrides
-    gamma).  Dimension mismatches raise ValueError; every other defect is
+    A start is admissible when it is strictly interior, primal and dual
+    feasible within tolerance, and its proximity is below 1/e^r.
+    Dimension mismatches raise ValueError; every other defect is
     reported, not raised.
     """
     r = _checked_power(r)
@@ -286,12 +278,11 @@ def validate_start(
         gamma0 = proximity(s.x0, s.z0, mu0, r)
     else:
         gamma0 = math.inf
-    limit = math.exp(-r) if gamma_limit is None else float(gamma_limit)
     admissible = (
         interior
         and primal_residual <= _START_RTOL * (1.0 + float(np.linalg.norm(p.b)))
         and dual_residual <= _START_RTOL * (1.0 + float(np.linalg.norm(gradient)))
-        and gamma0 < limit
+        and gamma0 < math.exp(-r)
     )
     return FeasibilityReport(
         primal_residual=primal_residual,

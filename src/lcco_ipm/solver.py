@@ -96,17 +96,17 @@ def iteration_bound(mu0: float, n: int, r: int, epsilon: float) -> int:
 class SolverConfig:
     """Loop parameters; "auto" defers to the analysis defaults.
 
-    Auto resolution: theta to 1/(e^(2r) sqrt(n)), gamma to 1/e^r, and
-    max_iterations to ten times the theoretical bound, so a numerical
-    stall surfaces as iteration_cap instead of an endless loop.  With
-    strict_monitors set, any false monitor flag aborts the run as a
+    Auto resolution: theta to 1/(e^(2r) sqrt(n)) and max_iterations to
+    ten times the theoretical bound, so a numerical stall surfaces as
+    iteration_cap instead of an endless loop.  The admission threshold is
+    not a parameter: the analysis fixes it at 1/e^r (`gamma_threshold`).
+    With strict_monitors set, any false monitor flag aborts the run as a
     numerical failure; by default monitors only annotate the trace.
     """
 
     epsilon: float = 1e-6
     r: int = 1
     theta: Union[float, str] = AUTO
-    gamma: Union[float, str] = AUTO
     max_iterations: Union[int, str] = AUTO
     strict_monitors: bool = False
 
@@ -126,15 +126,6 @@ class SolverConfig:
                 raise ValueError(
                     f"theta must be in (0, 1) or {AUTO!r}, got {self.theta!r}"
                 )
-        if self.gamma != AUTO:
-            if not (
-                isinstance(self.gamma, (int, float))
-                and math.isfinite(self.gamma)
-                and self.gamma > 0.0
-            ):
-                raise ValueError(
-                    f"gamma must be a positive real or {AUTO!r}, got {self.gamma!r}"
-                )
         if self.max_iterations != AUTO:
             if (
                 not isinstance(self.max_iterations, (int, np.integer))
@@ -148,9 +139,6 @@ class SolverConfig:
 
     def resolved_theta(self, n: int) -> float:
         return default_theta(n, self.r) if self.theta == AUTO else float(self.theta)
-
-    def resolved_gamma(self) -> float:
-        return gamma_threshold(self.r) if self.gamma == AUTO else float(self.gamma)
 
     def resolved_max_iterations(self, bound: int) -> int:
         if self.max_iterations == AUTO:
@@ -213,7 +201,7 @@ class SolveResult:
 def solve(p: Problem, cfg: SolverConfig = SolverConfig()) -> SolveResult:
     """Run the full-Newton-step loop on a problem with a start point.
 
-    The start is graded first (against cfg's gamma when overridden);
+    The start is graded first against the admission threshold 1/e^r;
     an inadmissible one yields status invalid_start with the start
     echoed back.  A problem without a start raises ValueError, since
     there is nothing to grade.  See SolveResult for the other statuses.
@@ -224,8 +212,7 @@ def solve(p: Problem, cfg: SolverConfig = SolverConfig()) -> SolveResult:
     if n < 2:
         raise ValueError(f"solver requires n >= 2, got {n}")
     start = p.start
-    gamma_limit = cfg.resolved_gamma()
-    report = validate_start(p, start, cfg.r, gamma_limit=gamma_limit)
+    report = validate_start(p, start, cfg.r)
     gap0 = float(start.x0 @ start.z0)
     mu0 = gap0 / n
     bound = (
@@ -266,7 +253,7 @@ def solve(p: Problem, cfg: SolverConfig = SolverConfig()) -> SolveResult:
         mu *= 1.0 - theta
         before = IterateState.from_point(x, y, z, mu)
         try:
-            step = newton_step(p, before, mu, cfg.r)
+            step = newton_step(p, before, cfg.r)
         except (NumericalError, InteriorError):
             status = "numerical_failure"
             break

@@ -262,8 +262,9 @@ def test_criterion_11_hand_system_and_exact_center_step(acceptance_report):
     worst = 0.0
     for r in POWERS:
         mu = 0.9
-        step = newton_step(p, state, mu, r)
-        h = newton_rhs(state, mu, r)
+        aimed = IterateState.from_point(state.x, state.y, state.z, mu)
+        step = newton_step(p, aimed, r)
+        h = newton_rhs(aimed, r)
         kkt = np.array([[1.0, 0.0, 1.0], [0.0, 1.0, 1.0], [1.0, 1.0, 0.0]])
         solution = np.linalg.solve(kkt, np.array([h[0], h[1], 0.0]))
         worst = max(
@@ -274,7 +275,7 @@ def test_criterion_11_hand_system_and_exact_center_step(acceptance_report):
                 np.abs(step.dz_full - (h - state.z * step.dx_full) / state.x).max()
             ),
         )
-    center = newton_step(p, state, 1.0, 1)
+    center = newton_step(p, state, 1)
     exact = (
         np.array_equal(center.dx_full, [0.0, 0.0])
         and np.array_equal(center.dy_full, [0.0])

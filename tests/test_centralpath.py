@@ -200,7 +200,7 @@ class TestScaledDirections:
     def test_center_fixed_point(self):
         p = generate_instance(4, 2, "linear", 7)
         state = IterateState.from_point(p.start.x0, p.start.y0, p.start.z0, 1.0)
-        step = newton_step(p, state, 1.0, 1)
+        step = newton_step(p, state, 1)
         dirs = scaled_directions(step, state, 1)
         assert np.array_equal(dirs.dx, np.zeros(4))
         assert np.array_equal(dirs.dz, np.zeros(4))
@@ -212,7 +212,7 @@ class TestScaledDirections:
         mu = 0.9
         state = IterateState.from_point(p.start.x0, p.start.y0, p.start.z0, mu)
         for r in (1, 2, 3):
-            step = newton_step(p, state, mu, r)
+            step = newton_step(p, state, r)
             dirs = scaled_directions(step, state, r)
             assert np.linalg.norm(dirs.dx + dirs.dz - dirs.pw) <= 1e-10
             assert dirs.dxTdz >= -1e-10
@@ -222,7 +222,7 @@ class TestScaledDirections:
         p = generate_instance(6, 3, "linear", 2)
         mu = 0.9
         state = IterateState.from_point(p.start.x0, p.start.y0, p.start.z0, mu)
-        step = newton_step(p, state, mu, 1)
+        step = newton_step(p, state, 1)
         broken = NewtonStep(
             dx_full=2.0 * step.dx_full,
             dy_full=step.dy_full,
@@ -239,7 +239,7 @@ class TestScaledDirections:
         p = generate_instance(6, 3, "quadratic", 3)
         mu = 0.95
         state = IterateState.from_point(p.start.x0, p.start.y0, p.start.z0, mu)
-        step = newton_step(p, state, mu, 2)
+        step = newton_step(p, state, 2)
         dirs = scaled_directions(step, state, 2)
         abar, curvature = scaled_system_matrices(p, state)
         assert np.linalg.norm(abar @ dirs.dx) <= 1e-9

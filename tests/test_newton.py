@@ -21,6 +21,7 @@ from lcco_ipm import (
     generate_instance,
     newton_rhs,
     newton_step,
+    p_vector,
 )
 
 
@@ -33,10 +34,10 @@ def hand_problem():
     ).validate()
 
 
-def dense_reference_step(p, state, mu, r):
+def dense_reference_step(p, state, r):
     """Solve the same saddle system with a dense generic solver."""
     n, m = p.n, p.m
-    h = newton_rhs(state, mu, r)
+    h = newton_rhs(state, r)
     hessian = p.objective.evaluate(state.x)[2]
     top = hessian + np.diag(state.z / state.x)
     kkt = np.block([[top, p.A.T], [p.A, np.zeros((m, m))]])
@@ -52,31 +53,36 @@ class TestNewtonRhs:
     def test_zero_exactly_on_the_center(self):
         state = IterateState.from_point([1.0, 1.0], [0.0], [1.0, 1.0], 1.0)
         for r in (1, 2, 3):
-            assert np.array_equal(newton_rhs(state, 1.0, r), [0.0, 0.0])
+            assert np.array_equal(newton_rhs(state, r), [0.0, 0.0])
 
     def test_power_of_two_examples_are_exact(self):
         # x z / mu = 4 gives w = 2 componentwise; exact in binary.
-        state = IterateState.from_point([1.0], [0.0], [1.0], 1.0)
-        assert np.array_equal(newton_rhs(state, 0.25, 1), [-1.0])
-        assert np.array_equal(newton_rhs(state, 0.25, 2), [-0.75])
+        state = IterateState.from_point([1.0], [0.0], [1.0], 0.25)
+        assert np.array_equal(newton_rhs(state, 1), [-1.0])
+        assert np.array_equal(newton_rhs(state, 2), [-0.75])
         state = IterateState.from_point([1.0, 4.0], [0.0], [1.0, 1.0], 1.0)
-        assert np.array_equal(newton_rhs(state, 1.0, 1), [0.0, -4.0])
-        assert np.array_equal(newton_rhs(state, 1.0, 2), [0.0, -3.0])
+        assert np.array_equal(newton_rhs(state, 1), [0.0, -4.0])
+        assert np.array_equal(newton_rhs(state, 2), [0.0, -3.0])
 
-    def test_uses_the_given_barrier_value_not_the_stored_one(self):
-        state = IterateState.from_point([1.0], [0.0], [1.0], 1.0)
-        assert np.array_equal(newton_rhs(state, 1.0, 1), [0.0])
-        assert newton_rhs(state, 0.25, 1)[0] != 0.0
+    def test_aims_at_the_state_barrier_value(self):
+        # One point, two states: it is the center for mu = 1 only.
+        on_center = IterateState.from_point([1.0], [0.0], [1.0], 1.0)
+        assert np.array_equal(newton_rhs(on_center, 1), [0.0])
+        off_center = IterateState.from_point([1.0], [0.0], [1.0], 0.25)
+        assert newton_rhs(off_center, 1)[0] != 0.0
+        assert np.array_equal(
+            newton_rhs(off_center, 1),
+            off_center.mu * off_center.w * p_vector(off_center.w, 1),
+        )
 
 
 class TestHandInstance:
     def test_matches_a_dense_solve_to_twelve_digits(self):
         p = hand_problem()
-        mu = 0.9
-        state = IterateState.from_point([1.0, 1.0], [0.0], [1.0, 1.0], 1.0)
+        state = IterateState.from_point([1.0, 1.0], [0.0], [1.0, 1.0], 0.9)
         for r in (1, 2, 3):
-            step = newton_step(p, state, mu, r)
-            dx, dy, dz = dense_reference_step(p, state, mu, r)
+            step = newton_step(p, state, r)
+            dx, dy, dz = dense_reference_step(p, state, r)
             assert np.linalg.norm(step.dx_full - dx) <= 1e-12
             assert np.linalg.norm(step.dy_full - dy) <= 1e-12
             assert np.linalg.norm(step.dz_full - dz) <= 1e-12
@@ -86,8 +92,8 @@ class TestHandInstance:
         # dz = h, dy = -h1.  h = mu w p(w) with w = sqrt(1/mu).
         p = hand_problem()
         mu = 0.9
-        state = IterateState.from_point([1.0, 1.0], [0.0], [1.0, 1.0], 1.0)
-        step = newton_step(p, state, mu, 1)
+        state = IterateState.from_point([1.0, 1.0], [0.0], [1.0, 1.0], mu)
+        step = newton_step(p, state, 1)
         w = math.sqrt(1.0 / mu)
         h = mu * w * (2.0 - 2.0 * w)
         assert np.linalg.norm(step.dx_full) <= 1e-16
@@ -97,7 +103,7 @@ class TestHandInstance:
     def test_center_step_is_exactly_zero(self):
         p = hand_problem()
         state = IterateState.from_point([1.0, 1.0], [0.0], [1.0, 1.0], 1.0)
-        step = newton_step(p, state, 1.0, 1)
+        step = newton_step(p, state, 1)
         assert np.array_equal(step.dx_full, [0.0, 0.0])
         assert np.array_equal(step.dy_full, [0.0])
         assert np.array_equal(step.dz_full, [0.0, 0.0])
@@ -110,7 +116,7 @@ class TestFactorization:
         state = IterateState.from_point(p.start.x0, p.start.y0, p.start.z0, 1.0)
         factorization = assemble_and_factor(p, state)
         identity = np.eye(factorization.matrix.shape[0])
-        inverse = np.column_stack([factorization.solve(e) for e in identity])
+        inverse = factorization.solve(identity)
         scale = np.abs(factorization.matrix).max()
         assert np.abs(factorization.matrix @ inverse - identity).max() <= 1e-10 * scale
 
@@ -188,8 +194,8 @@ class TestNewtonStep:
             p = generate_instance(10, 5, kind, 31)
             mu = 0.9
             state = IterateState.from_point(p.start.x0, p.start.y0, p.start.z0, mu)
-            step = newton_step(p, state, mu, 2)
-            h = newton_rhs(state, mu, 2)
+            step = newton_step(p, state, 2)
+            h = newton_rhs(state, 2)
             hessian = p.objective.evaluate(state.x)[2]
             primal = np.linalg.norm(p.A @ step.dx_full)
             dual = np.linalg.norm(
@@ -210,20 +216,35 @@ class TestNewtonStep:
         p = generate_instance(10, 5, "quadratic", 32)
         mu = 0.8
         state = IterateState.from_point(p.start.x0, p.start.y0, p.start.z0, mu)
-        step = newton_step(p, state, mu, 1)
-        h = newton_rhs(state, mu, 1)
+        step = newton_step(p, state, 1)
+        h = newton_rhs(state, 1)
         hessian = p.objective.evaluate(state.x)[2]
         m_matrix = hessian + np.diag(state.z / state.x)
         left = float(step.dx_full @ (m_matrix @ step.dx_full))
         right = float(step.dx_full @ (h / state.x))
         assert left == pytest.approx(right, abs=1e-9 * (1.0 + abs(right)))
 
+    def test_evaluates_the_objective_once(self, monkeypatch):
+        # The residual gate reuses the Hessian the system was built from.
+        p = generate_instance(6, 3, "quadratic", 34)
+        state = IterateState.from_point(p.start.x0, p.start.y0, p.start.z0, 0.9)
+        evaluate = ObjectiveSpec.evaluate
+        points = []
+
+        def counting(spec, x):
+            points.append(x)
+            return evaluate(spec, x)
+
+        monkeypatch.setattr(ObjectiveSpec, "evaluate", counting)
+        newton_step(p, state, 1)
+        assert len(points) == 1
+
     def test_is_bitwise_deterministic(self):
         p = generate_instance(8, 4, "quadratic", 33)
         mu = 0.85
         state = IterateState.from_point(p.start.x0, p.start.y0, p.start.z0, mu)
-        a = newton_step(p, state, mu, 3)
-        b = newton_step(p, state, mu, 3)
+        a = newton_step(p, state, 3)
+        b = newton_step(p, state, 3)
         assert np.array_equal(a.dx_full, b.dx_full)
         assert np.array_equal(a.dy_full, b.dy_full)
         assert np.array_equal(a.dz_full, b.dz_full)
