@@ -18,7 +18,7 @@ import sys
 
 import numpy as np
 
-from lcco_ipm import MONITOR_SLACK, check_eq117_inequality, p_vector
+from lcco_ipm import MONITOR_SLACK, check_eq117_inequality, eq117_ratio, p_vector
 
 
 def parse_args(argv=None):
@@ -54,15 +54,9 @@ def main(argv=None) -> int:
         p = p_vector(w, r)
         pointwise = w**2 + w * p - 1.0 + p**2 / 4.0
         pointwise_ok = float(pointwise.min()) >= -MONITOR_SLACK
+        ratio = eq117_ratio(w, r)
         ratio_ok = check_eq117_inequality(w, r)
         clean = clean and pointwise_ok and ratio_ok
-        numerator = (
-            (r - 1) ** 2 * w ** (2 * r)
-            + (2 * r - 2) * w**r
-            - r**2 * w ** (2 * r - 2)
-            + 1.0
-        )
-        ratio = numerator / (1.0 - w**r) ** 2
         print(
             f"r={r:>2}: pointwise slack min {pointwise.min():.3e} "
             f"[{'ok' if pointwise_ok else 'VIOLATED'}], "

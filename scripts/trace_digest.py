@@ -1,0 +1,70 @@
+"""Hash everything the solver reports on a grid of runs into one digest.
+
+Solves every (n, kind, seed, r) combination, like run_grid.py, and feeds
+one sha256 with each run's trace CSV bytes, the repr of every trace
+record (all fields, monitors included), the status, iteration count,
+bound and final gap, and the bytes of the final x, y and z.  Two builds
+print the same digest exactly when they agree bit for bit on all of it.
+
+    python3 scripts/trace_digest.py
+    python3 scripts/trace_digest.py --n 4 10 50 --r 1 2 3
+"""
+
+import argparse
+import hashlib
+import sys
+
+from lcco_ipm import SolverConfig, generate_instance, solve, trace_to_csv
+
+
+def parse_args(argv=None):
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument(
+        "--n", type=int, nargs="+", default=[4, 10, 50], help="variable counts"
+    )
+    parser.add_argument(
+        "--kinds",
+        nargs="+",
+        default=["linear", "quadratic"],
+        choices=["linear", "quadratic"],
+        help="objective kinds",
+    )
+    parser.add_argument(
+        "--seeds", type=int, nargs="+", default=[1, 2, 3], help="generator seeds"
+    )
+    parser.add_argument(
+        "--r", type=int, nargs="+", default=[1, 2, 3], help="kernel powers"
+    )
+    parser.add_argument(
+        "--eps", type=float, default=1e-6, help="duality-gap target (default 1e-6)"
+    )
+    return parser.parse_args(argv)
+
+
+def main(argv=None) -> int:
+    args = parse_args(argv)
+    digest = hashlib.sha256()
+    runs = steps = 0
+    for n in args.n:
+        for kind in args.kinds:
+            for seed in args.seeds:
+                problem = generate_instance(n, n // 2, kind, seed)
+                for r in args.r:
+                    result = solve(problem, SolverConfig(epsilon=args.eps, r=r))
+                    digest.update(trace_to_csv(result.trace).encode())
+                    for record in result.trace:
+                        digest.update(repr(record).encode())
+                    digest.update(
+                        f"{result.status},{result.iterations},{result.bound},"
+                        f"{result.gap_final!r}".encode()
+                    )
+                    for vector in (result.x, result.y, result.z):
+                        digest.update(vector.tobytes())
+                    runs += 1
+                    steps += result.iterations
+    print(f"runs {runs}, steps {steps}, sha256 {digest.hexdigest()}")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

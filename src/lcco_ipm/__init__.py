@@ -20,6 +20,7 @@ from .centralpath import (
     ScaledDirections,
     check_eq117_inequality,
     contraction_coefficient,
+    eq117_ratio,
     monitor_step,
     p_vector,
     proximity,
@@ -111,6 +112,7 @@ __all__ = [
     "check_eq117_inequality",
     "contraction_coefficient",
     "default_theta",
+    "eq117_ratio",
     "gamma_threshold",
     "generate_instance",
     "iteration_bound",

@@ -14,10 +14,15 @@ inequalities the convergence guarantee rests on (componentwise lower bound
 on the post-step scaling, quadratic proximity contraction, duality-gap
 ceiling, and the kernel inequalities).  Monitors are advisory: they report
 outcomes, the caller decides what to do with them.
+
+Public functions validate their input, then call the unchecked kernels
+`_scaling`, `_p` and `_norm` that hold each formula once; the solver's
+loop calls the kernels on iterates it has already checked.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
@@ -44,6 +49,7 @@ __all__ = [
     "scaled_system_matrices",
     "contraction_coefficient",
     "monitor_step",
+    "eq117_ratio",
     "check_eq117_inequality",
 ]
 
@@ -89,6 +95,23 @@ def _interior_vector(v, name: str) -> np.ndarray:
     return arr
 
 
+def _norm(v: np.ndarray) -> float:
+    # The bits of np.linalg.norm, which computes sqrt(v.dot(v)) for contiguous v.
+    return math.sqrt(v.dot(v))
+
+
+def _scaling(x: np.ndarray, z: np.ndarray, mu: float) -> np.ndarray:
+    return np.sqrt(x * z / mu)
+
+
+def _p(w: np.ndarray, r: int) -> np.ndarray:
+    return (2.0 - 2.0 * w**r) / (r * w ** (r - 1))
+
+
+def _proximity(w: np.ndarray, r: int) -> float:
+    return 0.5 * _norm(_p(w, r))
+
+
 def scaling_vector(x, z, mu: float) -> np.ndarray:
     """Componentwise w = sqrt(x z / mu); the all-ones vector on the mu-center.
 
@@ -101,7 +124,7 @@ def scaling_vector(x, z, mu: float) -> np.ndarray:
         raise InteriorError(f"mu must be finite and strictly positive, got {mu}")
     if x.shape != z.shape:
         raise InteriorError("x and z must have the same length")
-    return np.sqrt(x * z / mu)
+    return _scaling(x, z, mu)
 
 
 def p_vector(w, r: int) -> np.ndarray:
@@ -111,13 +134,13 @@ def p_vector(w, r: int) -> np.ndarray:
     denominator is identically one.
     """
     r = _checked_power(r)
-    w = _interior_vector(w, "w")
-    return (2.0 - 2.0 * w**r) / (r * w ** (r - 1))
+    return _p(_interior_vector(w, "w"), r)
 
 
 def proximity_from_scaling(w, r: int) -> float:
     """Proximity Gamma = ||p_vector(w, r)|| / 2 of a scaling vector."""
-    return 0.5 * float(np.linalg.norm(p_vector(w, r)))
+    r = _checked_power(r)
+    return _proximity(_interior_vector(w, "w"), r)
 
 
 def proximity(x, z, mu: float, r: int) -> float:
@@ -190,39 +213,31 @@ class ScaledDirections:
 def scaled_directions(
     step: "NewtonStep", state: IterateState, r: int, *, check: bool = True
 ) -> ScaledDirections:
-    """Map a Newton step into scaled space and optionally verify it.
+    """Map a Newton step, computed at `state`, into scaled space.
 
-    Parameters
-    ----------
-    step : NewtonStep
-        Full-space directions (dx_full, dy_full, dz_full).
-    state : IterateState
-        The iterate the step was computed at, with mu already updated.
-    r : int
-        Kernel power.
-    check : bool
-        When true (the default), raise DirectionError if any of the
-        identities dx + dz = p_w (within 1e-10), dxTdz >= -1e-10, or
-        ||pw|| >= ||qw|| - 1e-10 fails.  The solver's main loop passes
-        False and lets the advisory monitors record outcomes instead.
+    dx = w dx_full / x, dz = w dz_full / z, pw = p_w and qw = dx - dz.
+    With check (the default), raise DirectionError if any of the
+    identities dx + dz = p_w (within 1e-10), dxTdz >= -1e-10 or
+    ||pw|| >= ||qw|| - 1e-10 fails.  The solver's main loop passes
+    check=False and lets the advisory monitors record outcomes instead.
     """
     r = _checked_power(r)
     if step.dx_full.shape != state.x.shape or step.dz_full.shape != state.z.shape:
         raise ValueError("step dimensions do not match the iterate")
     dx = state.w * step.dx_full / state.x
     dz = state.w * step.dz_full / state.z
-    pw = p_vector(state.w, r)
+    pw = _p(state.w, r)
     qw = dx - dz
     dxTdz = float(dx @ dz)
     if check:
-        defect = float(np.linalg.norm(dx + dz - pw))
+        defect = _norm(dx + dz - pw)
         if defect > _IDENTITY_TOL:
             raise DirectionError(
                 f"dx + dz deviates from the kernel by {defect:.3e}"
             )
         if dxTdz < -_IDENTITY_TOL:
             raise DirectionError(f"dx'dz = {dxTdz:.3e} is negative")
-        gap = float(np.linalg.norm(pw) - np.linalg.norm(qw))
+        gap = _norm(pw) - _norm(qw)
         if gap < -_IDENTITY_TOL:
             raise DirectionError(f"||qw|| exceeds ||pw|| by {-gap:.3e}")
     for arr in (dx, dz, pw, qw):
@@ -258,7 +273,11 @@ def contraction_coefficient(r: int) -> float:
     using log1p/expm1, which is accurate to the last digit for every
     admissible r.
     """
-    r = _checked_power(r)
+    return _contraction(_checked_power(r))
+
+
+@functools.lru_cache(maxsize=R_MAX)
+def _contraction(r: int) -> float:
     t = math.log1p(-math.exp(-2.0 * r))
     head = -math.expm1(0.5 * r * t)
     tail = math.exp(0.5 * (r - 1) * t)
@@ -327,9 +346,9 @@ def monitor_step(
     if before.mu != after.mu:
         raise ValueError("monitors compare iterates at one fixed barrier value")
     n = before.n
-    gamma_before = proximity_from_scaling(before.w, r)
-    gamma_after = proximity_from_scaling(after.w, r)
-    contraction_bound = contraction_coefficient(r) * gamma_before**2
+    gamma_before = _proximity(before.w, r)
+    gamma_after = _proximity(after.w, r)
+    contraction_bound = _contraction(r) * gamma_before**2
     gap_bound = before.mu * (n + (r - 1) ** 2 * math.exp(-2.0 * r))
 
     margins: list[float] = []
@@ -351,10 +370,10 @@ def monitor_step(
         lemma5_ok = graded(gap_bound - after.gap())
 
     pw = dirs.pw
-    eq115_slack = float(np.min(before.w**2 + before.w * pw - 1.0 + pw**2 / 4.0))
+    eq115_slack = float((before.w**2 + before.w * pw - 1.0 + pw**2 / 4.0).min())
     eq115_ok = graded(eq115_slack)
     eq111_ok = graded(dirs.dxTdz)
-    eq112_ok = graded(float(np.linalg.norm(pw) - np.linalg.norm(dirs.qw)))
+    eq112_ok = graded(_norm(pw) - _norm(dirs.qw))
 
     return MonitorReport(
         lemma2_ok=lemma2_ok,
@@ -371,20 +390,15 @@ def monitor_step(
     )
 
 
-def check_eq117_inequality(w_grid, r: int) -> bool:
-    """Test the two-sided kernel ratio bound on a grid of scaling values.
+def eq117_ratio(w_grid, r: int) -> np.ndarray:
+    """Componentwise ratio bounded by `check_eq117_inequality`,
 
-    For every grid component w != 1 the ratio
+        ((r-1)^2 w^(2r) + (2r-2) w^r - r^2 w^(2r-2) + 1) / (1 - w^r)^2.
 
-        ((r-1)^2 w^(2r) + (2r-2) w^r - r^2 w^(2r-2) + 1) / (1 - w^r)^2
-
-    must lie in [0, (r-1)^2], with additive slack 1e-9 on both sides.  The
-    ratio has a removable singularity at w = 1 (its limit there is r - 1),
-    so components within 1e-9 of 1 are rejected rather than evaluated.
-    For r = 1 the numerator vanishes identically and the bound pins the
-    ratio to zero.
-
-    The ratio is evaluated in the factored form
+    Its singularity at w = 1 is removable (the limit is r - 1), but
+    components within 1e-9 of 1 raise ValueError rather than being
+    evaluated, and nonpositive ones raise InteriorError.  It is evaluated
+    in the factored form
 
         S1 ((r-1) w^r + 1 + r w^(r-1)) / S0^2,
         S1 = sum_{k=0}^{r-2} (k+1) w^k,   S0 = sum_{k=0}^{r-1} w^k,
@@ -401,8 +415,15 @@ def check_eq117_inequality(w_grid, r: int) -> bool:
     powers = w ** np.arange(r)[:, np.newaxis]
     s0 = powers.sum(axis=0)
     s1 = (np.arange(1, r)[:, np.newaxis] * powers[:-1]).sum(axis=0)
-    ratio = s1 * ((r - 1) * w**r + 1.0 + r * w ** (r - 1)) / s0**2
-    upper = float((r - 1) ** 2)
-    return bool(
-        np.all(ratio >= -MONITOR_SLACK) and np.all(ratio <= upper + MONITOR_SLACK)
-    )
+    return s1 * ((r - 1) * w**r + 1.0 + r * w ** (r - 1)) / s0**2
+
+
+def check_eq117_inequality(w_grid, r: int) -> bool:
+    """Whether 0 <= eq117_ratio(w_grid, r) <= (r-1)^2, with slack 1e-9 on both sides.
+
+    For r = 1 the numerator vanishes identically and the bound pins the
+    ratio to zero.
+    """
+    ratio = eq117_ratio(w_grid, r)
+    upper = (r - 1) ** 2 + MONITOR_SLACK
+    return bool(np.all(ratio >= -MONITOR_SLACK) and np.all(ratio <= upper))

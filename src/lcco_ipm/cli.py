@@ -198,8 +198,9 @@ def _print_summary(path: str, problem, cfg: SolverConfig, result: SolveResult) -
         f"status: {result.status} after {result.iterations} iterations "
         f"(theoretical bound {result.bound}, cap {cfg.resolved_max_iterations(result.bound)})"
     )
+    relative = f", {result.gap_final / mu0:.12g} of mu0" if mu0 > 0.0 else ""
     print(
-        f"gap: {result.gap_final:.12g} absolute, {result.gap_final / mu0:.12g} of mu0; "
+        f"gap: {result.gap_final:.12g} absolute{relative}; "
         f"final mu {result.mu_final:.12g}"
     )
     objective_value = problem.objective.evaluate(result.x)[0]

@@ -24,6 +24,10 @@ equilibrated matrix.  The raw matrix legitimately reaches condition
 1/mu^2 near convergence, which says nothing about solvability; the
 equilibrated estimate stays modest on healthy systems and explodes past
 the failure threshold exactly when A loses row rank or M degenerates.
+
+The public functions check the iterate and build a fresh matrix; the
+solver's loop calls the unchecked `_factor` and `_newton_step` they
+share, on a matrix template whose A and A' blocks are set once per solve.
 """
 
 from __future__ import annotations
@@ -34,7 +38,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.linalg.lapack import dgecon, dgetrf, dgetrs
 
-from .centralpath import InteriorError, IterateState, p_vector
+from .centralpath import InteriorError, IterateState, _norm, p_vector
 from .problem import Problem
 
 __all__ = [
@@ -114,25 +118,20 @@ def newton_rhs(state: IterateState, r: int) -> np.ndarray:
     return state.mu * state.w * p_vector(state.w, r)
 
 
-def assemble_and_factor(p: Problem, state: IterateState) -> KktFactorization:
-    """Assemble the eliminated step system at an iterate and factor it.
+def _kkt_template(p: Problem) -> np.ndarray:
+    n = p.n
+    kkt = np.zeros((n + p.m, n + p.m))
+    kkt[:n, n:] = p.A.T
+    kkt[n:, :n] = p.A
+    return kkt
 
-    Raises NumericalError when the condition estimate of the equilibrated
-    factorization exceeds SINGULAR_CONDITION, which is the solver's
-    numerical-failure signal.
-    """
-    n, m = p.n, p.m
-    if state.x.shape != (n,) or state.z.shape != (n,):
-        raise ValueError("iterate dimensions do not match the problem")
-    if state.x.min() <= 0.0 or state.z.min() <= 0.0:
-        raise InteriorError("iterate is not strictly interior")
-    hessian = p.objective.evaluate(state.x)[2]
-    kkt = np.zeros((n + m, n + m))
+
+def _factor(kkt: np.ndarray, hessian: np.ndarray, state: IterateState) -> KktFactorization:
+    """Fill M = H + diag(z/x) into a template from `_kkt_template`, then factor."""
+    n = state.x.shape[0]
     kkt[:n, :n] = hessian
     diagonal = np.arange(n)
     kkt[diagonal, diagonal] += state.z / state.x
-    kkt[:n, n:] = p.A.T
-    kkt[n:, :n] = p.A
     row_peak = np.abs(kkt).max(axis=1)
     row_peak[row_peak == 0.0] = 1.0
     scale = 1.0 / np.sqrt(row_peak)
@@ -140,14 +139,14 @@ def assemble_and_factor(p: Problem, state: IterateState) -> KktFactorization:
     lu, pivots, info = dgetrf(equilibrated)
     if info > 0:
         raise NumericalError(f"step system singular (zero pivot in column {info})")
-    rcond = dgecon(lu, np.linalg.norm(equilibrated, 1))[0]
+    rcond = dgecon(lu, np.abs(equilibrated).sum(axis=0).max())[0]
     estimate = 1.0 / rcond if 0.0 < rcond < math.inf else math.inf
     if estimate > SINGULAR_CONDITION:
         raise NumericalError(
             f"step system numerically singular "
             f"(condition estimate {estimate:.3e} exceeds {SINGULAR_CONDITION:.0e})"
         )
-    for arr in (kkt, scale, lu, pivots):
+    for arr in (scale, lu, pivots):
         arr.setflags(write=False)
     return KktFactorization(
         matrix=kkt,
@@ -159,6 +158,23 @@ def assemble_and_factor(p: Problem, state: IterateState) -> KktFactorization:
     )
 
 
+def assemble_and_factor(p: Problem, state: IterateState) -> KktFactorization:
+    """Assemble the eliminated step system at an iterate and factor it.
+
+    Raises NumericalError when the condition estimate of the equilibrated
+    factorization exceeds SINGULAR_CONDITION, which is the solver's
+    numerical-failure signal.
+    """
+    n = p.n
+    if state.x.shape != (n,) or state.z.shape != (n,):
+        raise ValueError("iterate dimensions do not match the problem")
+    if state.x.min() <= 0.0 or state.z.min() <= 0.0:
+        raise InteriorError("iterate is not strictly interior")
+    factorization = _factor(_kkt_template(p), p.objective.evaluate(state.x)[2], state)
+    factorization.matrix.setflags(write=False)
+    return factorization
+
+
 def newton_step(p: Problem, state: IterateState, r: int) -> NewtonStep:
     """Solve the step equations at state, aimed at its own mu, to working accuracy.
 
@@ -167,8 +183,15 @@ def newton_step(p: Problem, state: IterateState, r: int) -> NewtonStep:
     worst relative residual is returned on the step.  A residual above
     RESIDUAL_LIMIT, like a singular factorization, raises NumericalError.
     """
-    h = newton_rhs(state, r)
-    factorization = assemble_and_factor(p, state)
+    pw = p_vector(state.w, r)
+    return _newton_step(p, state, pw, assemble_and_factor(p, state))
+
+
+def _newton_step(
+    p: Problem, state: IterateState, pw: np.ndarray, factorization: KktFactorization
+) -> NewtonStep:
+    """`newton_step` on a checked iterate, given its p_w and factored system."""
+    h = state.mu * state.w * pw
     n = p.n
     rhs = np.zeros(n + p.m)
     rhs[:n] = h / state.x
@@ -177,13 +200,9 @@ def newton_step(p: Problem, state: IterateState, r: int) -> NewtonStep:
     dx = solution[:n]
     dy = -solution[n:]
     dz = (h - state.z * dx) / state.x
-    primal = float(np.linalg.norm(p.A @ dx)) / (1.0 + float(np.linalg.norm(dx)))
-    dual = float(np.linalg.norm(p.A.T @ dy + dz - factorization.hessian @ dx)) / (
-        1.0 + float(np.linalg.norm(dz))
-    )
-    complementarity = float(np.linalg.norm(state.z * dx + state.x * dz - h)) / (
-        1.0 + float(np.linalg.norm(h))
-    )
+    primal = _norm(p.A @ dx) / (1.0 + _norm(dx))
+    dual = _norm(p.A.T @ dy + dz - factorization.hessian @ dx) / (1.0 + _norm(dz))
+    complementarity = _norm(state.z * dx + state.x * dz - h) / (1.0 + _norm(h))
     residual = max(primal, dual, complementarity)
     if not math.isfinite(residual) or residual > RESIDUAL_LIMIT:
         raise NumericalError(

@@ -24,14 +24,16 @@ from typing import Union
 import numpy as np
 
 from .centralpath import (
-    InteriorError,
     IterateState,
     MonitorReport,
     _checked_power,
+    _norm,
+    _p,
+    _scaling,
     monitor_step,
     scaled_directions,
 )
-from .newton import NumericalError, newton_step
+from .newton import NumericalError, _factor, _kkt_template, _newton_step
 from .problem import Problem, validate_start
 
 __all__ = [
@@ -234,13 +236,17 @@ def solve(p: Problem, cfg: SolverConfig = SolverConfig()) -> SolveResult:
             monitor_violations=0,
         )
 
+    # The start was checked above and each new iterate is checked once
+    # below, so the loop runs the unchecked kernels.  One objective
+    # evaluation per iterate serves its trace row and the next step.
     theta = cfg.resolved_theta(n)
     limit = cfg.resolved_max_iterations(bound)
+    kkt = _kkt_template(p)
     x = np.array(start.x0)
     y = np.array(start.y0)
     z = np.array(start.z0)
-    mu = mu0
-    gap = gap0
+    mu, gap = mu0, gap0
+    _, gradient, hessian = p.objective.evaluate(x)
     iterations = 0
     violations = 0
     records: list[TraceRecord] = []
@@ -251,26 +257,24 @@ def solve(p: Problem, cfg: SolverConfig = SolverConfig()) -> SolveResult:
             status = "iteration_cap"
             break
         mu *= 1.0 - theta
-        before = IterateState.from_point(x, y, z, mu)
+        before = IterateState(x=x, y=y, z=z, mu=mu, w=_scaling(x, z, mu))
         try:
-            step = newton_step(p, before, cfg.r)
-        except (NumericalError, InteriorError):
+            step = _newton_step(p, before, _p(before.w, cfg.r), _factor(kkt, hessian, before))
+        except NumericalError:
             status = "numerical_failure"
             break
-        x_next = x + step.dx_full
-        y_next = y + step.dy_full
-        z_next = z + step.dz_full
-        if x_next.min() <= 0.0 or z_next.min() <= 0.0:
+        x_next, z_next = x + step.dx_full, z + step.dz_full
+        if not (x_next.min() > 0.0 and z_next.min() > 0.0):
             status = "numerical_failure"
             break
-        x, y, z = x_next, y_next, z_next
+        x, y, z = x_next, y + step.dy_full, z_next
         iterations += 1
         gap = float(x @ z)
-        after = IterateState.from_point(x, y, z, mu)
+        after = IterateState(x=x, y=y, z=z, mu=mu, w=_scaling(x, z, mu))
         directions = scaled_directions(step, before, cfg.r, check=False)
         monitors = monitor_step(before, after, directions, cfg.r)
         violations += monitors.violation_count
-        gradient = p.objective.evaluate(x)[1]
+        _, gradient, hessian = p.objective.evaluate(x)
         records.append(
             TraceRecord(
                 iteration=iterations,
@@ -278,17 +282,15 @@ def solve(p: Problem, cfg: SolverConfig = SolverConfig()) -> SolveResult:
                 gap=gap,
                 gamma=monitors.gamma_after,
                 min_w=float(after.w.min()),
-                norm_pw=float(np.linalg.norm(directions.pw)),
-                norm_qw=float(np.linalg.norm(directions.qw)),
+                norm_pw=_norm(directions.pw),
+                norm_qw=_norm(directions.qw),
                 dxTdz=directions.dxTdz,
-                primal_res=float(np.linalg.norm(p.A @ x - p.b)),
-                dual_res=float(np.linalg.norm(p.A.T @ y + z - gradient)),
+                primal_res=_norm(p.A @ x - p.b),
+                dual_res=_norm(p.A.T @ y + z - gradient),
                 monitors=monitors,
-                grad_norm=float(np.linalg.norm(gradient)),
-                kernel_defect=float(
-                    np.linalg.norm(directions.dx + directions.dz - directions.pw)
-                ),
-                scaled_primal=float(np.linalg.norm(p.A @ step.dx_full)) / mu,
+                grad_norm=_norm(gradient),
+                kernel_defect=_norm(directions.dx + directions.dz - directions.pw),
+                scaled_primal=_norm(p.A @ step.dx_full) / mu,
             )
         )
         if cfg.strict_monitors and monitors.violation_count:
@@ -324,7 +326,6 @@ def trace_to_csv(trace) -> str:
     """
     lines = [TRACE_HEADER]
     for record in trace:
-        monitors = record.monitors
         lines.append(
             ",".join(
                 [
@@ -338,12 +339,8 @@ def trace_to_csv(trace) -> str:
                     _g17(record.dxTdz),
                     _g17(record.primal_res),
                     _g17(record.dual_res),
-                    "1" if monitors.lemma2_ok else "0",
-                    "1" if monitors.lemma4_ok else "0",
-                    "1" if monitors.lemma5_ok else "0",
-                    "1" if monitors.eq111_ok else "0",
-                    "1" if monitors.eq112_ok else "0",
-                    "1" if monitors.eq115_ok else "0",
+                    # lemma2, lemma4, lemma5, eq111, eq112, eq115, as in the header
+                    *("1" if ok else "0" for ok in record.monitors.flags.values()),
                 ]
             )
         )

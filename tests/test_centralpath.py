@@ -26,6 +26,7 @@ from lcco_ipm import (
     ScaledDirections,
     check_eq117_inequality,
     contraction_coefficient,
+    eq117_ratio,
     generate_instance,
     monitor_step,
     newton_step,
@@ -335,6 +336,14 @@ class TestKernelRatioGrid:
         for r in range(1, 6):
             for w in (0.99999, 1.00001, 1.0 + 1e-7, 1.0 - 1e-7):
                 assert check_eq117_inequality([w], r) is True, (w, r)
+
+    def test_ratio_values_next_to_the_removable_singularity(self):
+        # At r = 2 the ratio is identically 1.  On this grid the expanded
+        # numerator gives 0.976..1.020; the factored form stays at 1.
+        w = np.linspace(0.9999, 1.0001, 2000)
+        w = w[np.abs(w - 1.0) >= 1e-9]
+        assert np.abs(eq117_ratio(w, 2) - 1.0).max() <= 1e-12
+        assert np.array_equal(eq117_ratio(w, 1), np.zeros(w.size))
 
     def test_rejects_the_removable_singularity(self):
         with pytest.raises(ValueError):

@@ -104,6 +104,22 @@ class TestExitCodes:
         assert main(["solve", str(path)]) == 2
         assert "status: invalid_start" in capsys.readouterr().out
 
+    def test_zero_gap_start_exits_two_without_a_traceback(self, tmp_path, capsys):
+        # x0 = 0 parses, but gives mu0 = 0: no relative gap to print.
+        p = Problem(
+            A=[[1.0, 1.0, 1.0]],
+            b=[0.0],
+            objective=ObjectiveSpec.linear([1.0, 2.0, 3.0]),
+            start=StartPoint(x0=[0.0, 0.0, 0.0], y0=[0.0], z0=[1.0, 2.0, 3.0]),
+        )
+        path = tmp_path / "boundary.lcco"
+        path.write_text(serialize_instance(p))
+        assert "x 0 0 0" in path.read_text()
+        assert main(["solve", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert "status: invalid_start" in captured.out
+        assert "Traceback" not in captured.out + captured.err
+
     def test_iteration_cap_exits_four(self, instance_path, capsys):
         assert main(["solve", str(instance_path), "--max-iter", "1"]) == 4
         assert "status: iteration_cap" in capsys.readouterr().out

@@ -8,17 +8,24 @@ import pytest
 from lcco_ipm import (
     AUTO,
     TRACE_HEADER,
+    IterateState,
+    NewtonStep,
     ObjectiveSpec,
     Problem,
     SolverConfig,
     StartPoint,
+    TraceRecord,
     default_theta,
     gamma_threshold,
     generate_instance,
     iteration_bound,
+    monitor_step,
+    newton_step,
+    scaled_directions,
     solve,
     trace_to_csv,
 )
+from lcco_ipm import solver as solver_module
 
 
 def nonconvex_problem():
@@ -181,6 +188,78 @@ class TestConvergedRuns:
         assert a.gap_final == b.gap_final
         assert trace_to_csv(a.trace) == trace_to_csv(b.trace)
 
+    def test_evaluates_the_objective_once_per_iterate(self, monkeypatch):
+        # validate_start, the start, then one evaluation per new iterate
+        # serves both its trace row and the next step's Hessian.
+        p = generate_instance(6, 3, "quadratic", 5)
+        evaluate = ObjectiveSpec.evaluate
+        calls = []
+
+        def counting(spec, x):
+            calls.append(x)
+            return evaluate(spec, x)
+
+        monkeypatch.setattr(ObjectiveSpec, "evaluate", counting)
+        result = solve(p, SolverConfig(epsilon=1e-6, r=1))
+        assert result.status == "converged"
+        assert len(calls) == result.iterations + 2
+
+
+def replay(p, cfg, iterations):
+    """The solver's loop rebuilt from the validated public step API."""
+    r = cfg.r
+    theta = cfg.resolved_theta(p.n)
+    x, y, z = p.start.x0, p.start.y0, p.start.z0
+    mu = float(x @ z) / p.n
+    records = []
+    for iteration in range(1, iterations + 1):
+        mu *= 1.0 - theta
+        before = IterateState.from_point(x, y, z, mu)
+        step = newton_step(p, before, r)
+        dirs = scaled_directions(step, before, r, check=True)
+        x, y, z = x + step.dx_full, y + step.dy_full, z + step.dz_full
+        after = IterateState.from_point(x, y, z, mu)
+        monitors = monitor_step(before, after, dirs, r)
+        gradient = p.objective.evaluate(x)[1]
+        records.append(
+            TraceRecord(
+                iteration=iteration,
+                mu=mu,
+                gap=after.gap(),
+                gamma=monitors.gamma_after,
+                min_w=float(after.w.min()),
+                norm_pw=float(np.linalg.norm(dirs.pw)),
+                norm_qw=float(np.linalg.norm(dirs.qw)),
+                dxTdz=dirs.dxTdz,
+                primal_res=float(np.linalg.norm(p.A @ x - p.b)),
+                dual_res=float(np.linalg.norm(p.A.T @ y + z - gradient)),
+                monitors=monitors,
+                grad_norm=float(np.linalg.norm(gradient)),
+                kernel_defect=float(np.linalg.norm(dirs.dx + dirs.dz - dirs.pw)),
+                scaled_primal=float(np.linalg.norm(p.A @ step.dx_full)) / mu,
+            )
+        )
+    return tuple(records), (x, y, z)
+
+
+class TestReplay:
+    @pytest.mark.parametrize("kind", ["linear", "quadratic"])
+    @pytest.mark.parametrize("r", [1, 2])
+    def test_solver_trace_equals_the_public_api_replay(self, kind, r):
+        # The loop calls unchecked kernels; the checked public functions
+        # stay the ground truth, down to the last bit of every field.
+        p = generate_instance(6, 3, kind, 41)
+        cfg = SolverConfig(epsilon=1e-6, r=r, max_iterations=40)
+        result = solve(p, cfg)
+        assert result.status == "iteration_cap"
+        records, (x, y, z) = replay(p, cfg, 40)
+        assert len(result.trace) == 40
+        for got, want in zip(result.trace, records):
+            assert got == want
+        assert np.array_equal(result.x, x)
+        assert np.array_equal(result.y, y)
+        assert np.array_equal(result.z, z)
+
 
 class TestRejectedRuns:
     def test_problem_without_a_start_raises(self):
@@ -247,6 +326,24 @@ class TestFailureStatuses:
         assert result.iterations == 0
         assert result.trace == ()
         assert np.array_equal(result.x, [1.0, 1.0])
+
+    def test_non_finite_iterate_fails_numerically(self, monkeypatch):
+        # NaN compares false with everything, so the interior check after
+        # a step must be phrased to reject it.
+        step_fn = solver_module._newton_step
+
+        def poisoned(*args):
+            step = step_fn(*args)
+            dz = np.array(step.dz_full)
+            dz[0] = math.nan
+            return NewtonStep(step.dx_full, step.dy_full, dz, step.residual)
+
+        monkeypatch.setattr(solver_module, "_newton_step", poisoned)
+        p = generate_instance(4, 2, "linear", 7)
+        result = solve(p, SolverConfig(epsilon=1e-6))
+        assert result.status == "numerical_failure"
+        assert result.iterations == 0
+        assert np.array_equal(result.z, p.start.z0)
 
     def test_monitors_flag_negative_curvature_in_advisory_mode(self):
         result = solve(
