@@ -61,6 +61,7 @@ from .solver import (
     gamma_threshold,
     iteration_bound,
     solve,
+    solve_many,
     trace_to_csv,
 )
 from .verifier import (
@@ -131,6 +132,7 @@ __all__ = [
     "scaling_vector",
     "serialize_instance",
     "solve",
+    "solve_many",
     "trace_to_csv",
     "validate_start",
 ]

@@ -16,8 +16,10 @@ ceiling, and the kernel inequalities).  Monitors are advisory: they report
 outcomes, the caller decides what to do with them.
 
 Public functions validate their input, then call the unchecked kernels
-`_scaling`, `_p` and `_norm` that hold each formula once; the solver's
-loop calls the kernels on iterates it has already checked.
+that hold each formula once: `_scaling`, `_p`, `_dot`, `_norm`,
+`_directions`, `_monitor_terms` and `_grade`.  All but `_grade` take any
+leading batch axes, so the solver's loop calls them once per step on a
+stack of already-checked iterates.
 """
 
 from __future__ import annotations
@@ -95,9 +97,15 @@ def _interior_vector(v, name: str) -> np.ndarray:
     return arr
 
 
-def _norm(v: np.ndarray) -> float:
+def _dot(u: np.ndarray, v: np.ndarray) -> np.ndarray:
+    # Row dot products over any leading axes.  The stacked matmul runs BLAS
+    # dot on each row pair, the bits u.dot(v) gives on one contiguous row.
+    return np.matmul(u[..., np.newaxis, :], v[..., :, np.newaxis])[..., 0, 0]
+
+
+def _norm(v: np.ndarray) -> np.ndarray:
     # The bits of np.linalg.norm, which computes sqrt(v.dot(v)) for contiguous v.
-    return math.sqrt(v.dot(v))
+    return np.sqrt(_dot(v, v))
 
 
 def _scaling(x: np.ndarray, z: np.ndarray, mu: float) -> np.ndarray:
@@ -108,7 +116,7 @@ def _p(w: np.ndarray, r: int) -> np.ndarray:
     return (2.0 - 2.0 * w**r) / (r * w ** (r - 1))
 
 
-def _proximity(w: np.ndarray, r: int) -> float:
+def _proximity(w: np.ndarray, r: int) -> np.ndarray:
     return 0.5 * _norm(_p(w, r))
 
 
@@ -140,7 +148,7 @@ def p_vector(w, r: int) -> np.ndarray:
 def proximity_from_scaling(w, r: int) -> float:
     """Proximity Gamma = ||p_vector(w, r)|| / 2 of a scaling vector."""
     r = _checked_power(r)
-    return _proximity(_interior_vector(w, "w"), r)
+    return float(_proximity(_interior_vector(w, "w"), r))
 
 
 def proximity(x, z, mu: float, r: int) -> float:
@@ -210,6 +218,13 @@ class ScaledDirections:
     dxTdz: float
 
 
+def _directions(w, x, z, dx_full, dz_full):
+    # dx, dz, qw = dx - dz and dx'dz over any leading axes.
+    dx = w * dx_full / x
+    dz = w * dz_full / z
+    return dx, dz, dx - dz, _dot(dx, dz)
+
+
 def scaled_directions(
     step: "NewtonStep", state: IterateState, r: int, *, check: bool = True
 ) -> ScaledDirections:
@@ -218,26 +233,24 @@ def scaled_directions(
     dx = w dx_full / x, dz = w dz_full / z, pw = p_w and qw = dx - dz.
     With check (the default), raise DirectionError if any of the
     identities dx + dz = p_w (within 1e-10), dxTdz >= -1e-10 or
-    ||pw|| >= ||qw|| - 1e-10 fails.  The solver's main loop passes
-    check=False and lets the advisory monitors record outcomes instead.
+    ||pw|| >= ||qw|| - 1e-10 fails; with check=False the directions are
+    returned as they are, for the advisory monitors to grade.
     """
     r = _checked_power(r)
     if step.dx_full.shape != state.x.shape or step.dz_full.shape != state.z.shape:
         raise ValueError("step dimensions do not match the iterate")
-    dx = state.w * step.dx_full / state.x
-    dz = state.w * step.dz_full / state.z
     pw = _p(state.w, r)
-    qw = dx - dz
-    dxTdz = float(dx @ dz)
+    dx, dz, qw, dxTdz = _directions(state.w, state.x, state.z, step.dx_full, step.dz_full)
+    dxTdz = float(dxTdz)
     if check:
-        defect = _norm(dx + dz - pw)
+        defect = float(_norm(dx + dz - pw))
         if defect > _IDENTITY_TOL:
             raise DirectionError(
                 f"dx + dz deviates from the kernel by {defect:.3e}"
             )
         if dxTdz < -_IDENTITY_TOL:
             raise DirectionError(f"dx'dz = {dxTdz:.3e} is negative")
-        gap = _norm(pw) - _norm(qw)
+        gap = float(_norm(pw) - _norm(qw))
         if gap < -_IDENTITY_TOL:
             raise DirectionError(f"||qw|| exceeds ||pw|| by {-gap:.3e}")
     for arr in (dx, dz, pw, qw):
@@ -284,7 +297,7 @@ def _contraction(r: int) -> float:
     return math.exp(2.0 * r) * head * ((r - 1) ** 2 + 1) / (r * tail)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class MonitorReport:
     """Outcome of grading one full Newton step at fixed mu.
 
@@ -345,35 +358,50 @@ def monitor_step(
     r = _checked_power(r)
     if before.mu != after.mu:
         raise ValueError("monitors compare iterates at one fixed barrier value")
-    n = before.n
-    gamma_before = _proximity(before.w, r)
-    gamma_after = _proximity(after.w, r)
+    terms = _monitor_terms(before.w, after.w, dirs.pw, r)
+    norms = _norm(np.array([dirs.pw, dirs.qw]))
+    return _grade(
+        *(float(t) for t in (*terms, *norms)), dirs.dxTdz, after.gap(), before.mu, before.n, r
+    )
+
+
+def _monitor_terms(w_before, w_after, pw, r: int):
+    # The vector part of `monitor_step` over any leading axes: Gamma,
+    # Gamma+, min after.w and the eq115 slack.  Both proximities are
+    # evaluated here, from the iterates, not from the step.
+    eq115 = (w_before**2 + w_before * pw - 1.0 + pw**2 / 4.0).min(axis=-1)
+    gamma_before, gamma_after = _proximity(np.array([w_before, w_after]), r)
+    return gamma_before, gamma_after, w_after.min(axis=-1), eq115
+
+
+def _grade(
+    gamma_before: float,
+    gamma_after: float,
+    min_w: float,
+    eq115_slack: float,
+    norm_pw: float,
+    norm_qw: float,
+    dxTdz: float,
+    gap: float,
+    mu: float,
+    n: int,
+    r: int,
+) -> MonitorReport:
+    # The scalar part of `monitor_step`, one member at a time.  Margins are
+    # collected in the order lemma2, lemma4, lemma5, eq115, eq111, eq112.
     contraction_bound = _contraction(r) * gamma_before**2
-    gap_bound = before.mu * (n + (r - 1) ** 2 * math.exp(-2.0 * r))
-
-    margins: list[float] = []
-
-    def graded(slack: float) -> bool:
-        margins.append(slack)
-        return slack >= -MONITOR_SLACK
-
-    lemma2_ok = True
+    gap_bound = mu * (n + (r - 1) ** 2 * math.exp(-2.0 * r))
+    margins = []
+    lemma2_ok = lemma4_ok = lemma5_ok = True
     if gamma_before < 1.0:
-        floor = math.sqrt(1.0 - gamma_before**2)
-        lemma2_ok = graded(float(after.w.min()) - floor)
-
-    admissible = gamma_before < math.exp(-r)
-    lemma4_ok = True
-    lemma5_ok = True
-    if admissible:
-        lemma4_ok = graded(contraction_bound - gamma_after)
-        lemma5_ok = graded(gap_bound - after.gap())
-
-    pw = dirs.pw
-    eq115_slack = float((before.w**2 + before.w * pw - 1.0 + pw**2 / 4.0).min())
-    eq115_ok = graded(eq115_slack)
-    eq111_ok = graded(dirs.dxTdz)
-    eq112_ok = graded(_norm(pw) - _norm(dirs.qw))
+        margins.append(min_w - math.sqrt(1.0 - gamma_before**2))
+        lemma2_ok = margins[-1] >= -MONITOR_SLACK
+    if gamma_before < math.exp(-r):
+        margins += (contraction_bound - gamma_after, gap_bound - gap)
+        lemma4_ok = margins[-2] >= -MONITOR_SLACK
+        lemma5_ok = margins[-1] >= -MONITOR_SLACK
+    margins += (eq115_slack, dxTdz, norm_pw - norm_qw)
+    eq115_ok, eq111_ok, eq112_ok = (m >= -MONITOR_SLACK for m in margins[-3:])
 
     return MonitorReport(
         lemma2_ok=lemma2_ok,

@@ -26,8 +26,9 @@ equilibrated estimate stays modest on healthy systems and explodes past
 the failure threshold exactly when A loses row rank or M degenerates.
 
 The public functions check the iterate and build a fresh matrix; the
-solver's loop calls the unchecked `_factor` and `_newton_step` they
-share, on a matrix template whose A and A' blocks are set once per solve.
+solver calls the unchecked `_factor` and `_newton_step` they share on a
+stack of same-shape members, whose A and A' blocks are set once per
+solve.  Each member keeps its own LAPACK calls and gates.
 """
 
 from __future__ import annotations
@@ -104,8 +105,7 @@ class KktFactorization:
         """
         rhs = np.asarray(rhs, dtype=float)
         scale = self.scale if rhs.ndim == 1 else self.scale[:, np.newaxis]
-        v, _ = dgetrs(self.lu, self.pivots, rhs * scale)
-        return v * scale
+        return _solve([(self.lu, self.pivots)], scale[np.newaxis], rhs[np.newaxis])[0]
 
 
 def newton_rhs(state: IterateState, r: int) -> np.ndarray:
@@ -118,44 +118,48 @@ def newton_rhs(state: IterateState, r: int) -> np.ndarray:
     return state.mu * state.w * p_vector(state.w, r)
 
 
-def _kkt_template(p: Problem) -> np.ndarray:
-    n = p.n
-    kkt = np.zeros((n + p.m, n + p.m))
-    kkt[:n, n:] = p.A.T
-    kkt[n:, :n] = p.A
+def _kkt_template(A: np.ndarray) -> np.ndarray:
+    """Step matrices for a (B, m, n) stack of A, with the A and A' blocks set."""
+    count, m, n = A.shape
+    kkt = np.zeros((count, n + m, n + m))
+    kkt[:, :n, n:] = A.transpose(0, 2, 1)
+    kkt[:, n:, :n] = A
     return kkt
 
 
-def _factor(kkt: np.ndarray, hessian: np.ndarray, state: IterateState) -> KktFactorization:
-    """Fill M = H + diag(z/x) into a template from `_kkt_template`, then factor."""
-    n = state.x.shape[0]
-    kkt[:n, :n] = hessian
-    diagonal = np.arange(n)
-    kkt[diagonal, diagonal] += state.z / state.x
-    row_peak = np.abs(kkt).max(axis=1)
-    row_peak[row_peak == 0.0] = 1.0
+def _factor(kkt: np.ndarray, hessian: np.ndarray, x: np.ndarray, z: np.ndarray):
+    """Fill M = H + diag(z/x) into a `_kkt_template` stack and factor each member.
+
+    Returns the equilibration scales and, per member, `_lu`'s answer.
+    """
+    (count, size, _), n = kkt.shape, x.shape[-1]
+    kkt[:, :n, :n] = hessian
+    diagonal = kkt.reshape(count, size * size)[:, : n * (size + 1) : size + 1]
+    np.add(diagonal, z / x, out=diagonal)
+    row_peak = np.abs(kkt).max(axis=2)
+    if not row_peak.all():
+        row_peak[row_peak == 0.0] = 1.0
     scale = 1.0 / np.sqrt(row_peak)
-    equilibrated = kkt * scale[:, np.newaxis] * scale[np.newaxis, :]
-    lu, pivots, info = dgetrf(equilibrated)
+    equilibrated = kkt * scale[:, :, np.newaxis]
+    equilibrated *= scale[:, np.newaxis, :]
+    norms = np.abs(equilibrated).sum(axis=1).max(axis=1)
+    return scale, [_lu(matrix, norm) for matrix, norm in zip(equilibrated, norms)]
+
+
+def _lu(matrix: np.ndarray, norm: float):
+    # (lu, pivots, gecon condition estimate) of one member, or the error
+    # that rejects its system.
+    lu, pivots, info = dgetrf(matrix)
     if info > 0:
-        raise NumericalError(f"step system singular (zero pivot in column {info})")
-    rcond = dgecon(lu, np.abs(equilibrated).sum(axis=0).max())[0]
+        return NumericalError(f"step system singular (zero pivot in column {info})")
+    rcond = dgecon(lu, norm)[0]
     estimate = 1.0 / rcond if 0.0 < rcond < math.inf else math.inf
     if estimate > SINGULAR_CONDITION:
-        raise NumericalError(
+        return NumericalError(
             f"step system numerically singular "
             f"(condition estimate {estimate:.3e} exceeds {SINGULAR_CONDITION:.0e})"
         )
-    for arr in (scale, lu, pivots):
-        arr.setflags(write=False)
-    return KktFactorization(
-        matrix=kkt,
-        hessian=hessian,
-        scale=scale,
-        lu=lu,
-        pivots=pivots,
-        condition_estimate=estimate,
-    )
+    return lu, pivots, estimate
 
 
 def assemble_and_factor(p: Problem, state: IterateState) -> KktFactorization:
@@ -170,9 +174,22 @@ def assemble_and_factor(p: Problem, state: IterateState) -> KktFactorization:
         raise ValueError("iterate dimensions do not match the problem")
     if state.x.min() <= 0.0 or state.z.min() <= 0.0:
         raise InteriorError("iterate is not strictly interior")
-    factorization = _factor(_kkt_template(p), p.objective.evaluate(state.x)[2], state)
-    factorization.matrix.setflags(write=False)
-    return factorization
+    kkt = _kkt_template(p.A[np.newaxis])
+    hessian = p.objective.evaluate(state.x)[2]
+    scale, (factor,) = _factor(kkt, hessian, state.x, state.z)
+    if isinstance(factor, NumericalError):
+        raise factor
+    lu, pivots, estimate = factor
+    for arr in (kkt, scale, lu, pivots):
+        arr.setflags(write=False)
+    return KktFactorization(
+        matrix=kkt[0],
+        hessian=hessian,
+        scale=scale[0],
+        lu=lu,
+        pivots=pivots,
+        condition_estimate=estimate,
+    )
 
 
 def newton_step(p: Problem, state: IterateState, r: int) -> NewtonStep:
@@ -183,31 +200,51 @@ def newton_step(p: Problem, state: IterateState, r: int) -> NewtonStep:
     worst relative residual is returned on the step.  A residual above
     RESIDUAL_LIMIT, like a singular factorization, raises NumericalError.
     """
-    pw = p_vector(state.w, r)
-    return _newton_step(p, state, pw, assemble_and_factor(p, state))
-
-
-def _newton_step(
-    p: Problem, state: IterateState, pw: np.ndarray, factorization: KktFactorization
-) -> NewtonStep:
-    """`newton_step` on a checked iterate, given its p_w and factored system."""
-    h = state.mu * state.w * pw
-    n = p.n
-    rhs = np.zeros(n + p.m)
-    rhs[:n] = h / state.x
-    solution = factorization.solve(rhs)
-    solution = solution + factorization.solve(rhs - factorization.matrix @ solution)
-    dx = solution[:n]
-    dy = -solution[n:]
-    dz = (h - state.z * dx) / state.x
-    primal = _norm(p.A @ dx) / (1.0 + _norm(dx))
-    dual = _norm(p.A.T @ dy + dz - factorization.hessian @ dx) / (1.0 + _norm(dz))
-    complementarity = _norm(state.z * dx + state.x * dz - h) / (1.0 + _norm(h))
-    residual = max(primal, dual, complementarity)
-    if not math.isfinite(residual) or residual > RESIDUAL_LIMIT:
+    h = newton_rhs(state, r)
+    f = assemble_and_factor(p, state)
+    (dx,), (dy,), (dz,), _, (residual,) = _newton_step(
+        p.A, f.matrix, f.hessian, state.x, state.z, h[np.newaxis],
+        f.scale[np.newaxis], [(f.lu, f.pivots)],
+    )
+    if not residual <= RESIDUAL_LIMIT:
         raise NumericalError(
             f"step residual {residual:.3e} exceeds {RESIDUAL_LIMIT:.0e} after refinement"
         )
     for arr in (dx, dy, dz):
         arr.setflags(write=False)
     return NewtonStep(dx_full=dx, dy_full=dy, dz_full=dz, residual=residual)
+
+
+def _solve(factors, scale: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+    # `KktFactorization.solve` per member; a member without factors gets 0.
+    scaled = rhs * scale
+    for b, f in enumerate(factors):
+        scaled[b] = dgetrs(f[0], f[1], scaled[b], overwrite_b=True)[0] if type(f) is tuple else 0
+    return scaled * scale
+
+
+def _newton_step(A, kkt, hessian, x, z, h, scale, factors):
+    """`newton_step` on a (B, .) stack of checked iterates and their `_factor` output.
+
+    Returns dx, dy, dz, ||A dx|| and each member's worst relative residual,
+    infinite where its factorization failed or a residual is not finite.
+    """
+    n = x.shape[-1]
+    rhs = np.zeros(scale.shape)
+    rhs[:, :n] = h / x
+    solution = _solve(factors, scale, rhs)
+    solution += _solve(factors, scale, rhs - (kkt @ solution[:, :, np.newaxis])[:, :, 0])
+    dx = solution[:, :n]
+    dy = -solution[:, n:]
+    dz = (h - z * dx) / x
+    column = dx[:, :, np.newaxis]
+    a_dx = _norm((A @ column)[:, :, 0])
+    dual = A.swapaxes(-1, -2) @ dy[:, :, np.newaxis] + dz[:, :, np.newaxis]
+    dual = (dual - hessian @ column)[:, :, 0]
+    norms = _norm(np.array([dual, z * dx + x * dz - h, dx, dz, h])).tolist()
+    residual = []
+    for f, primal, dual, comp, size_dx, size_dz, size_h in zip(factors, a_dx.tolist(), *norms):
+        ratios = (primal / (1.0 + size_dx), dual / (1.0 + size_dz), comp / (1.0 + size_h))
+        finite = type(f) is tuple and math.isfinite(sum(ratios))
+        residual.append(max(ratios) if finite else math.inf)
+    return dx, dy, dz, a_dx, residual

@@ -24,16 +24,17 @@ from typing import Union
 import numpy as np
 
 from .centralpath import (
-    IterateState,
     MonitorReport,
     _checked_power,
+    _directions,
+    _dot,
+    _grade,
+    _monitor_terms,
     _norm,
     _p,
     _scaling,
-    monitor_step,
-    scaled_directions,
 )
-from .newton import NumericalError, _factor, _kkt_template, _newton_step
+from .newton import RESIDUAL_LIMIT, _factor, _kkt_template, _newton_step
 from .problem import Problem, validate_start
 
 __all__ = [
@@ -46,6 +47,7 @@ __all__ = [
     "gamma_threshold",
     "iteration_bound",
     "solve",
+    "solve_many",
     "trace_to_csv",
 ]
 
@@ -148,7 +150,7 @@ class SolverConfig:
         return int(self.max_iterations)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class TraceRecord:
     """Diagnostics of one completed iteration.
 
@@ -207,110 +209,173 @@ def solve(p: Problem, cfg: SolverConfig = SolverConfig()) -> SolveResult:
     an inadmissible one yields status invalid_start with the start
     echoed back.  A problem without a start raises ValueError, since
     there is nothing to grade.  See SolveResult for the other statuses.
+    This is the one-member case of `solve_many`.
     """
-    if p.start is None:
+    return solve_many([p], cfg)[0]
+
+
+def solve_many(
+    problems, cfg: SolverConfig = SolverConfig(), *, on_record=None
+) -> list[SolveResult]:
+    """Run `solve` on problems of one shape (n, m) in lockstep, in order.
+
+    The members share each step's array arithmetic, which pays the
+    per-step overhead once per batch.  Each keeps its own barrier value,
+    bound, iteration cap, factorization, residual gate, trace and status,
+    and leaves the batch when it stops, so every result equals its solo
+    `solve` bit for bit.  Problems of mixed shape raise ValueError.
+
+    With on_record, each record goes to on_record(index, record) as soon
+    as it is made, index being the member's place in `problems`, and the
+    results' traces stay empty; a caller that needs only a summary of the
+    trace then never holds it whole.
+    """
+    problems = list(problems)
+    if len({(p.n, p.m) for p in problems}) > 1:
+        raise ValueError("solve_many needs problems of one shape (n, m)")
+    if any(p.start is None for p in problems):
         raise ValueError("problem carries no start point")
-    n = p.n
-    if n < 2:
-        raise ValueError(f"solver requires n >= 2, got {n}")
-    start = p.start
-    report = validate_start(p, start, cfg.r)
-    gap0 = float(start.x0 @ start.z0)
-    mu0 = gap0 / n
-    bound = (
-        iteration_bound(mu0, n, cfg.r, cfg.epsilon)
-        if math.isfinite(mu0) and mu0 > 0.0
-        else 0
-    )
-    if not report.admissible:
-        return SolveResult(
-            status="invalid_start",
-            x=start.x0,
-            y=start.y0,
-            z=start.z0,
-            mu_final=mu0,
-            gap_final=gap0,
-            iterations=0,
-            bound=bound,
-            trace=(),
-            monitor_violations=0,
-        )
-
-    # The start was checked above and each new iterate is checked once
-    # below, so the loop runs the unchecked kernels.  One objective
-    # evaluation per iterate serves its trace row and the next step.
-    theta = cfg.resolved_theta(n)
-    limit = cfg.resolved_max_iterations(bound)
-    kkt = _kkt_template(p)
-    x = np.array(start.x0)
-    y = np.array(start.y0)
-    z = np.array(start.z0)
-    mu, gap = mu0, gap0
-    _, gradient, hessian = p.objective.evaluate(x)
-    iterations = 0
-    violations = 0
-    records: list[TraceRecord] = []
-    status = "converged"
-
-    while gap > cfg.epsilon:
-        if iterations >= limit:
-            status = "iteration_cap"
-            break
-        mu *= 1.0 - theta
-        before = IterateState(x=x, y=y, z=z, mu=mu, w=_scaling(x, z, mu))
-        try:
-            step = _newton_step(p, before, _p(before.w, cfg.r), _factor(kkt, hessian, before))
-        except NumericalError:
-            status = "numerical_failure"
-            break
-        x_next, z_next = x + step.dx_full, z + step.dz_full
-        if not (x_next.min() > 0.0 and z_next.min() > 0.0):
-            status = "numerical_failure"
-            break
-        x, y, z = x_next, y + step.dy_full, z_next
-        iterations += 1
-        gap = float(x @ z)
-        after = IterateState(x=x, y=y, z=z, mu=mu, w=_scaling(x, z, mu))
-        directions = scaled_directions(step, before, cfg.r, check=False)
-        monitors = monitor_step(before, after, directions, cfg.r)
-        violations += monitors.violation_count
-        _, gradient, hessian = p.objective.evaluate(x)
-        records.append(
-            TraceRecord(
-                iteration=iterations,
-                mu=mu,
-                gap=gap,
-                gamma=monitors.gamma_after,
-                min_w=float(after.w.min()),
-                norm_pw=_norm(directions.pw),
-                norm_qw=_norm(directions.qw),
-                dxTdz=directions.dxTdz,
-                primal_res=_norm(p.A @ x - p.b),
-                dual_res=_norm(p.A.T @ y + z - gradient),
-                monitors=monitors,
-                grad_norm=_norm(gradient),
-                kernel_defect=_norm(directions.dx + directions.dz - directions.pw),
-                scaled_primal=_norm(p.A @ step.dx_full) / mu,
+    if problems and problems[0].n < 2:
+        raise ValueError(f"solver requires n >= 2, got {problems[0].n}")
+    results: list = [None] * len(problems)
+    bounds = []
+    for i, p in enumerate(problems):
+        start = p.start
+        gap0 = float(start.x0 @ start.z0)
+        mu0 = gap0 / p.n
+        positive = math.isfinite(mu0) and mu0 > 0.0
+        bounds.append(iteration_bound(mu0, p.n, cfg.r, cfg.epsilon) if positive else 0)
+        if not validate_start(p, start, cfg.r).admissible:
+            results[i] = SolveResult(
+                status="invalid_start",
+                x=start.x0,
+                y=start.y0,
+                z=start.z0,
+                mu_final=mu0,
+                gap_final=gap0,
+                iterations=0,
+                bound=bounds[i],
+                trace=(),
+                monitor_violations=0,
             )
-        )
-        if cfg.strict_monitors and monitors.violation_count:
-            status = "numerical_failure"
-            break
+    ids = [i for i, result in enumerate(results) if result is None]
+    if not ids:
+        return results
 
-    for arr in (x, y, z):
-        arr.setflags(write=False)
-    return SolveResult(
-        status=status,
-        x=x,
-        y=y,
-        z=z,
-        mu_final=mu,
-        gap_final=gap,
-        iterations=iterations,
-        bound=bound,
-        trace=tuple(records),
-        monitor_violations=violations,
-    )
+    # Starts were checked above and each new iterate is checked once below,
+    # so the loop runs the unchecked kernels on (B, .) stacks.  A member that
+    # fails inside a step leaves, and the rest retake that step without it.
+    n, r = problems[0].n, cfg.r
+    shrink = 1.0 - cfg.resolved_theta(n)
+    starts = [problems[i].start for i in ids]
+    x, y, z = (np.array([getattr(s, key) for s in starts]) for key in ("x0", "y0", "z0"))
+    A, b = (np.array([getattr(problems[i], key) for i in ids]) for key in ("A", "b"))
+    gap = np.array([float(s.x0 @ s.z0) for s in starts])
+    mu = gap / n
+    limit = np.array([cfg.resolved_max_iterations(bounds[i]) for i in ids])
+    kkt = _kkt_template(A)
+    gradient, hessian = np.empty_like(x), np.empty((len(ids), n, n))
+    for k, i in enumerate(ids):
+        _, gradient[k], hessian[k] = problems[i].objective.evaluate(x[k])
+    records = [[] for _ in problems]
+    if on_record is None:
+
+        def on_record(i, record):
+            records[i].append(record)
+
+    violations = [0] * len(problems)
+    steps = 0  # members step in lockstep, so every active one has taken `steps`
+
+    def finish(k, status, mu_k):
+        vectors = x[k].copy(), y[k].copy(), z[k].copy()
+        for arr in vectors:
+            arr.setflags(write=False)
+        i = ids[k]
+        results[i] = SolveResult(
+            status=status,
+            x=vectors[0],
+            y=vectors[1],
+            z=vectors[2],
+            mu_final=float(mu_k),
+            gap_final=float(gap[k]),
+            iterations=steps,
+            bound=bounds[i],
+            trace=tuple(records[i]),
+            monitor_violations=violations[i],
+        )
+
+    settle = True  # some member may have stopped
+    while True:
+        if settle:
+            for k in np.flatnonzero(~((gap > cfg.epsilon) & (steps < limit))):
+                if results[ids[k]] is None:
+                    finish(k, "converged" if not gap[k] > cfg.epsilon else "iteration_cap", mu[k])
+            keep = np.array([results[i] is None for i in ids])
+            if not keep.all():
+                ids = [i for i, kept in zip(ids, keep) if kept]
+                if not ids:
+                    return results
+                mu, gap, limit, x, y, z, A, b, kkt, gradient, hessian = (
+                    a[keep] for a in (mu, gap, limit, x, y, z, A, b, kkt, gradient, hessian)
+                )
+            settle, stop = False, limit.min()
+        shrunk = mu * shrink
+        column = shrunk[:, np.newaxis]
+        w = _scaling(x, z, column)
+        pw = _p(w, r)
+        scale, factors = _factor(kkt, hessian, x, z)
+        dx, dy, dz, a_dx, residual = _newton_step(
+            A, kkt, hessian, x, z, column * w * pw, scale, factors
+        )
+        x_next, z_next = x + dx, z + dz
+        if not (max(residual) <= RESIDUAL_LIMIT and x_next.min() > 0.0 and z_next.min() > 0.0):
+            fine = np.array(residual) <= RESIDUAL_LIMIT
+            fine &= (x_next.min(axis=1) > 0.0) & (z_next.min(axis=1) > 0.0)
+            for k in np.flatnonzero(~fine):
+                finish(k, "numerical_failure", shrunk[k])
+            settle = True
+            continue
+        dx_s, dz_s, qw, dxTdz = _directions(w, x, z, dx, dz)
+        mu, steps = shrunk, steps + 1
+        x, y, z = x_next, y + dy, z_next
+        gap = _dot(x, z)
+        terms = _monitor_terms(w, _scaling(x, z, column), pw, r)
+        for k, i in enumerate(ids):
+            _, gradient[k], hessian[k] = problems[i].objective.evaluate(x[k])
+        primal = _norm((A @ x[:, :, np.newaxis])[:, :, 0] - b)
+        dual = (A.transpose(0, 2, 1) @ y[:, :, np.newaxis])[:, :, 0] + z - gradient
+        norms = _norm(np.array([pw, qw, dual, gradient, dx_s + dz_s - pw]))
+        # One list of Python floats per quantity, indexed by member.
+        gamma_before, gamma_after, min_w, eq115 = np.array(terms).tolist()
+        norm_pw, norm_qw, dual_res, grad_norm, defect = norms.tolist()
+        dxTdz, gaps, mus, primal_res, a_dx = np.array([dxTdz, gap, mu, primal, a_dx]).tolist()
+        for k, i in enumerate(ids):
+            monitors = _grade(
+                gamma_before[k], gamma_after[k], min_w[k], eq115[k], norm_pw[k],
+                norm_qw[k], dxTdz[k], gaps[k], mus[k], n, r,
+            )
+            failed = monitors.violation_count
+            violations[i] += failed
+            on_record(i, TraceRecord(
+                iteration=steps,
+                mu=mus[k],
+                gap=gaps[k],
+                gamma=gamma_after[k],
+                min_w=min_w[k],
+                norm_pw=norm_pw[k],
+                norm_qw=norm_qw[k],
+                dxTdz=dxTdz[k],
+                primal_res=primal_res[k],
+                dual_res=dual_res[k],
+                monitors=monitors,
+                grad_norm=grad_norm[k],
+                kernel_defect=defect[k],
+                scaled_primal=a_dx[k] / mus[k],
+            ))
+            if cfg.strict_monitors and failed:
+                finish(k, "numerical_failure", mus[k])
+            settle = settle or not gaps[k] > cfg.epsilon or results[i] is not None
+        settle = settle or steps >= stop
 
 
 def _g17(value: float) -> str:

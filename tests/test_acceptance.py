@@ -8,6 +8,7 @@ m = n/2, both objective kinds, seeds {1, 2, 3}, kernel powers {1, 2, 3},
 epsilon 1e-6, automatic theta.
 """
 
+import itertools
 import math
 
 import numpy as np
@@ -27,6 +28,7 @@ from lcco_ipm import (
     reference_solve_lp,
     reference_solve_qp,
     solve,
+    solve_many,
 )
 
 GRID_N = (4, 10, 50)
@@ -38,15 +40,20 @@ EPSILON = 1e-6
 
 @pytest.fixture(scope="module")
 def grid():
-    runs = {}
+    # One solve_many batch per (n, r) group over its (kind, seed) problems;
+    # the runs are keyed, and ordered, as (n, kind, seed, r).
+    solved = {}
     for n in GRID_N:
-        for kind in KINDS:
-            for seed in SEEDS:
-                p = generate_instance(n, n // 2, kind, seed)
-                for r in POWERS:
-                    cfg = SolverConfig(epsilon=EPSILON, r=r)
-                    runs[(n, kind, seed, r)] = (p, cfg, solve(p, cfg))
-    return runs
+        problems = {
+            (kind, seed): generate_instance(n, n // 2, kind, seed)
+            for kind in KINDS
+            for seed in SEEDS
+        }
+        for r in POWERS:
+            cfg = SolverConfig(epsilon=EPSILON, r=r)
+            for (kind, seed), result in zip(problems, solve_many(problems.values(), cfg)):
+                solved[(n, kind, seed, r)] = (problems[kind, seed], cfg, result)
+    return {key: solved[key] for key in itertools.product(GRID_N, KINDS, SEEDS, POWERS)}
 
 
 def test_criterion_01_iterations_within_the_proven_bound(grid, acceptance_report):

@@ -37,6 +37,7 @@ from lcco_ipm import (
     scaled_system_matrices,
     scaling_vector,
 )
+from lcco_ipm import centralpath
 
 
 def oracle_contraction(r: int) -> float:
@@ -167,6 +168,23 @@ class TestProximity:
 
     def test_positive_off_the_center(self):
         assert proximity([1.0, 1.0], [1.0, 2.0], 1.0, 1) > 0.0
+
+
+class TestRowDot:
+    # The batched loop takes every dot product and norm from centralpath._dot;
+    # each row must carry the bits ndarray.dot gives that row on its own, which
+    # is what keeps batched and solo runs identical.  n >= 32 reaches BLAS's
+    # blocked kernels, whose summation order differs from the short tail loop.
+    @pytest.mark.parametrize("n", [1, 2, 5, 10, 31, 32, 33, 50, 75, 150])
+    @pytest.mark.parametrize("lead", [(1,), (4,), (3, 2)])
+    def test_rows_match_ndarray_dot_bit_for_bit(self, n, lead):
+        rng = np.random.default_rng(n)
+        u = rng.standard_normal((*lead, n))
+        v = rng.standard_normal((*lead, n))
+        got = centralpath._dot(u, v)
+        assert got.shape == lead
+        want = [a.dot(b) for a, b in zip(u.reshape(-1, n), v.reshape(-1, n))]
+        assert got.ravel().tolist() == want
 
 
 class TestIterateState:

@@ -1,5 +1,6 @@
 """Main-loop behavior: bounds, statuses, traces, and monitor wiring."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -9,7 +10,6 @@ from lcco_ipm import (
     AUTO,
     TRACE_HEADER,
     IterateState,
-    NewtonStep,
     ObjectiveSpec,
     Problem,
     SolverConfig,
@@ -23,8 +23,10 @@ from lcco_ipm import (
     newton_step,
     scaled_directions,
     solve,
+    solve_many,
     trace_to_csv,
 )
+from lcco_ipm import centralpath
 from lcco_ipm import solver as solver_module
 
 
@@ -204,6 +206,24 @@ class TestConvergedRuns:
         assert result.status == "converged"
         assert len(calls) == result.iterations + 2
 
+    def test_evaluates_the_kernel_three_times_per_step(self, monkeypatch):
+        # The step and its scaled directions share one p(before.w); the
+        # monitors evaluate p at both iterates on their own.  validate_start
+        # grades the start once more.  Rows of a stacked w count one each.
+        kernel = centralpath._p
+        rows = []
+
+        def counting(w, r):
+            rows.append(math.prod(np.shape(w)[:-1]))
+            return kernel(w, r)
+
+        for module in (centralpath, solver_module):
+            monkeypatch.setattr(module, "_p", counting)
+        p = generate_instance(6, 3, "quadratic", 5)
+        result = solve(p, SolverConfig(epsilon=1e-6, r=1))
+        assert result.status == "converged"
+        assert sum(rows) == 3 * result.iterations + 1
+
 
 def replay(p, cfg, iterations):
     """The solver's loop rebuilt from the validated public step API."""
@@ -259,6 +279,136 @@ class TestReplay:
         assert np.array_equal(result.x, x)
         assert np.array_equal(result.y, y)
         assert np.array_equal(result.z, z)
+
+
+def shifted(p, delta):
+    """p with an off-center start: z0 += delta A[0], y0[0] -= delta keeps it feasible."""
+    y0 = np.array(p.start.y0, dtype=float)
+    y0[0] -= delta
+    start = StartPoint(x0=p.start.x0, y0=y0, z0=p.start.z0 + delta * p.A[0])
+    return Problem(A=p.A, b=p.b, objective=p.objective, start=start)
+
+
+def assert_same_result(got, want):
+    assert got.status == want.status
+    assert got.iterations == want.iterations
+    assert got.bound == want.bound
+    assert got.monitor_violations == want.monitor_violations
+    assert got.trace == want.trace
+    for name in ("x", "y", "z"):
+        assert getattr(got, name).tobytes() == getattr(want, name).tobytes()
+    assert repr(got.mu_final) == repr(want.mu_final)
+    assert repr(got.gap_final) == repr(want.gap_final)
+
+
+class TestSolveMany:
+    @pytest.mark.parametrize("r", [1, 2])
+    def test_mixed_batch_equals_solo_runs(self, r):
+        problems = [generate_instance(6, 3, kind, seed)
+                    for kind in ("linear", "quadratic") for seed in (11, 12)]
+        cfg = SolverConfig(epsilon=1e-6, r=r)
+        results = solve_many(problems, cfg)
+        assert len(results) == len(problems)
+        for p, got in zip(problems, results):
+            assert got.status == "converged"
+            assert_same_result(got, solve(p, cfg))
+
+    def test_members_that_end_differently_equal_their_solo_runs(self, monkeypatch):
+        centered = generate_instance(6, 3, "quadratic", 21)
+        off_center = shifted(generate_instance(6, 3, "linear", 22), 0.05)
+        base = generate_instance(6, 3, "linear", 23)
+        z0 = np.array(base.start.z0)
+        z0[2] = -1.0
+        inadmissible = Problem(
+            A=base.A, b=base.b, objective=base.objective,
+            start=StartPoint(x0=base.start.x0, y0=base.start.y0, z0=z0),
+        )
+        failing = generate_instance(6, 3, "quadratic", 24)
+        half_gap = 0.5 * float(failing.start.x0 @ failing.start.z0)
+        step_fn = solver_module._newton_step
+
+        def poisoned(A, kkt, hessian, x, z, *rest):
+            # NaN in dz of the `failing` member once its gap has halved: a
+            # condition on its own iterate, so solo and batched runs agree.
+            dx, dy, dz, a_dx, residual = step_fn(A, kkt, hessian, x, z, *rest)
+            hit = [np.array_equal(a, failing.A) and xk @ zk < half_gap
+                   for a, xk, zk in zip(A, x, z)]
+            if any(hit):
+                dz = np.array(dz)
+                dz[hit, 0] = math.nan
+            return dx, dy, dz, a_dx, residual
+
+        monkeypatch.setattr(solver_module, "_newton_step", poisoned)
+        problems = [centered, off_center, inadmissible, failing]
+        cfg = SolverConfig(epsilon=1e-6, r=1)
+        results = solve_many(problems, cfg)
+        solo = [solve(p, cfg) for p in problems]
+        assert [res.status for res in results] == [
+            "converged", "converged", "invalid_start", "numerical_failure",
+        ]
+        assert results[0].iterations != results[1].iterations
+        assert 0 < results[3].iterations < results[0].iterations
+        for got, want in zip(results, solo):
+            assert_same_result(got, want)
+
+    def test_members_leave_at_their_own_cap(self):
+        early = shifted(generate_instance(6, 3, "linear", 22), 0.2)
+        late = generate_instance(6, 3, "quadratic", 31)
+        free = [solve(p, SolverConfig(epsilon=1e-6)).iterations for p in (early, late)]
+        assert free[0] < free[1]
+        cfg = SolverConfig(epsilon=1e-6, max_iterations=(free[0] + free[1]) // 2)
+        results = solve_many([early, late], cfg)
+        assert [result.status for result in results] == ["converged", "iteration_cap"]
+        for p, got in zip((early, late), results):
+            assert_same_result(got, solve(p, cfg))
+
+    def test_strict_monitor_abort_leaves_the_rest_running(self):
+        problems = [nonconvex_problem(), generate_instance(2, 1, "linear", 3)]
+        cfg = SolverConfig(epsilon=1e-6, strict_monitors=True)
+        results = solve_many(problems, cfg)
+        assert [res.status for res in results] == ["numerical_failure", "converged"]
+        for p, got in zip(problems, results):
+            assert_same_result(got, solve(p, cfg))
+
+    def test_singular_member_leaves_the_others_running(self):
+        regular = Problem(
+            A=[[1.0, 0.0], [0.0, 1.0]],
+            b=[1.0, 1.0],
+            objective=ObjectiveSpec.linear([1.0, 1.0]),
+            start=StartPoint(x0=[1.0, 1.0], y0=[0.0, 0.0], z0=[1.0, 1.0]),
+        )
+        problems = [singular_problem(), regular]
+        cfg = SolverConfig(epsilon=1e-6)
+        results = solve_many(problems, cfg)
+        assert [res.status for res in results] == ["numerical_failure", "converged"]
+        for p, got in zip(problems, results):
+            assert_same_result(got, solve(p, cfg))
+
+    def test_records_stream_to_on_record_instead_of_the_trace(self):
+        centered = generate_instance(6, 3, "quadratic", 21)
+        off_center = shifted(generate_instance(6, 3, "linear", 22), 0.05)
+        problems = [centered, off_center]
+        cfg = SolverConfig(epsilon=1e-6)
+        received = []
+        results = solve_many(
+            problems, cfg, on_record=lambda i, record: received.append((i, record))
+        )
+        for i, (p, got) in enumerate(zip(problems, results)):
+            want = solve(p, cfg)
+            assert [record for j, record in received if j == i] == list(want.trace)
+            assert_same_result(got, dataclasses.replace(want, trace=()))
+        assert results[0].iterations != results[1].iterations
+        # Members step in lockstep, so each step's records arrive in member order.
+        steps = [record.iteration for _, record in received]
+        assert steps == sorted(steps)
+
+    def test_mixed_shapes_raise(self):
+        mixed = [generate_instance(6, 3, "linear", 1), generate_instance(6, 2, "linear", 1)]
+        with pytest.raises(ValueError, match="one shape"):
+            solve_many(mixed)
+
+    def test_empty_batch_returns_no_results(self):
+        assert solve_many([]) == []
 
 
 class TestRejectedRuns:
@@ -333,10 +483,10 @@ class TestFailureStatuses:
         step_fn = solver_module._newton_step
 
         def poisoned(*args):
-            step = step_fn(*args)
-            dz = np.array(step.dz_full)
-            dz[0] = math.nan
-            return NewtonStep(step.dx_full, step.dy_full, dz, step.residual)
+            dx, dy, dz, a_dx, residual = step_fn(*args)
+            dz = np.array(dz)
+            dz[:, 0] = math.nan
+            return dx, dy, dz, a_dx, residual
 
         monkeypatch.setattr(solver_module, "_newton_step", poisoned)
         p = generate_instance(4, 2, "linear", 7)
