@@ -98,9 +98,9 @@ def _interior_vector(v, name: str) -> np.ndarray:
 
 
 def _dot(u: np.ndarray, v: np.ndarray) -> np.ndarray:
-    # Row dot products over any leading axes.  The stacked matmul runs BLAS
-    # dot on each row pair, the bits u.dot(v) gives on one contiguous row.
-    return np.matmul(u[..., np.newaxis, :], v[..., :, np.newaxis])[..., 0, 0]
+    # Row dot products over any leading axes.  vecdot runs BLAS dot on each
+    # row pair, the bits u.dot(v) gives on one contiguous row.
+    return np.vecdot(u, v)
 
 
 def _norm(v: np.ndarray) -> np.ndarray:

@@ -9,26 +9,28 @@ At an interior iterate (x, y, z) with barrier value mu the step solves
 Eliminating dz = (h - z dx) / x leaves the symmetric indefinite system
 
     [ M   A' ] [ dx ]   [ h / x ]
-    [ A   0  ] [ u  ] = [   0   ],      M = H + diag(z / x),  dy = -u.
+    [ A   0  ] [ u  ] = [   0   ],      M = H + diag(z / x),  dy = -u,
 
-The block matrix is symmetrically equilibrated, factored once per step
-by dense LU with partial pivoting (LAPACK getrf), and solved (getrs)
-with one pass of iterative refinement against the unscaled matrix.  No
-regularization is applied: the monitors downstream must grade the true
-Newton step, so a near-singular system is reported as a failure instead
-of being nudged.
+solved in the null space of A (Nocedal and Wright, Numerical Optimization,
+section 16.2).  With the complete QR factorization A' = [Y N] [R; 0],
+dx = N v where G v = N'(h/x) for the k-square G = N'HN + N' diag(z/x) N
+(k = n - m), and u = (A')^+ (h/x - M dx) with (A')^+ = R^-1 Y'.  H is
+constant (f is linear or quadratic), so the solver's `_null_space` takes
+the QR factorization, N'HN, [N; HN] and (A')^+ once per solve.
 
-The condition estimate is 1/rcond from LAPACK gecon, the 1-norm
-reciprocal condition estimate computed from the LU factors of the
-equilibrated matrix.  The raw matrix legitimately reaches condition
-1/mu^2 near convergence, which says nothing about solvability; the
-equilibrated estimate stays modest on healthy systems and explodes past
-the failure threshold exactly when A loses row rank or M degenerates.
-
-The public functions check the iterate and build a fresh matrix; the
-solver calls the unchecked `_factor` and `_newton_step` they share on a
-stack of same-shape members, whose A and A' blocks are set once per
-solve.  Each member keeps its own LAPACK calls and gates.
+It also grades A there: a zero on the diagonal of R (dependent rows) is
+singular, and cond(A)^2, from the singular values of R, is the floor of
+every step's condition estimate.  Each step `_factor` equilibrates G
+symmetrically, factors it by dense LU with partial pivoting (LAPACK
+getrf), and fails the step past SINGULAR_CONDITION on the larger of that
+floor and 1/rcond from LAPACK gecon.  v is solved (getrs) with one pass
+of iterative refinement: the residual h/x - M dx against the unscaled M,
+projected by N', re-solved with the same factors.  No regularization is
+applied: the monitors downstream must grade the true Newton step, so a
+near-singular system is reported as a failure instead of being nudged.
+The public functions check the iterate and are one-member calls of the
+same unchecked kernels; each member of a stack keeps its own LAPACK
+calls and gates.
 """
 
 from __future__ import annotations
@@ -37,6 +39,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.linalg import solve_triangular
 from scipy.linalg.lapack import dgecon, dgetrf, dgetrs
 
 from .centralpath import InteriorError, IterateState, _norm, p_vector
@@ -81,31 +84,37 @@ class NewtonStep:
 
 @dataclass(frozen=True, eq=False)
 class KktFactorization:
-    """Factored step system [[M, A'], [A, 0]] with M = H + diag(z/x).
+    """Factored step system K = [[M, A'], [A, 0]] with M = H + diag(z/x).
 
-    Stores the assembled matrix, the objective Hessian H it was built
-    from, the symmetric equilibration scale s, the LAPACK getrf LU factors
-    and row pivots of diag(s) K diag(s), and the gecon 1-norm condition
-    estimate of that equilibrated matrix.  `solve` answers the unscaled
-    system.
+    `matrix` is K as assembled.  With A' = [Y N] [R; 0], `basis` is
+    [N; HN], `projector` is [N'; (A')^+] with (A')^+ = R^-1 Y', `weights`
+    is z/x, and `scale`, `lu` and `pivots` are the symmetric equilibration
+    and LAPACK getrf factors of G = N'MN.  `condition_estimate` is the
+    larger of cond(A)^2 and the gecon estimate of the equilibrated G.
     """
 
     matrix: np.ndarray
-    hessian: np.ndarray
+    basis: np.ndarray
+    projector: np.ndarray
+    weights: np.ndarray
     scale: np.ndarray
     lu: np.ndarray
     pivots: np.ndarray
     condition_estimate: float
 
     def solve(self, rhs: np.ndarray) -> np.ndarray:
-        """Solve matrix @ out = rhs through the equilibrated factors.
-
-        rhs is a vector or a matrix whose columns are right-hand sides;
-        the scale applies along its rows either way.
-        """
+        """Solve matrix @ out = rhs, bottom block included; rhs is a vector or columns."""
         rhs = np.asarray(rhs, dtype=float)
-        scale = self.scale if rhs.ndim == 1 else self.scale[:, np.newaxis]
-        return _solve([(self.lu, self.pivots)], scale[np.newaxis], rhs[np.newaxis])[0]
+        n, k = self.weights.shape[0], self.basis.shape[1]
+        columns = rhs.reshape(rhs.shape[0], -1)
+        # (A')^+' is a right inverse of A; the null-space solve takes the rest.
+        particular = self.projector[k:].T @ columns[n:]
+        top = columns[:n] - self.matrix[:n, :n] @ particular
+        dx, _, u = _reduced_solve(
+            self.basis[np.newaxis], self.projector[np.newaxis], [(self.lu, self.pivots)],
+            self.scale[np.newaxis], self.weights[np.newaxis], top[np.newaxis],
+        )
+        return np.concatenate([particular + dx[0], u[0]]).reshape(rhs.shape)
 
 
 def newton_rhs(state: IterateState, r: int) -> np.ndarray:
@@ -118,43 +127,63 @@ def newton_rhs(state: IterateState, r: int) -> np.ndarray:
     return state.mu * state.w * p_vector(state.w, r)
 
 
-def _kkt_template(A: np.ndarray) -> np.ndarray:
-    """Step matrices for a (B, m, n) stack of A, with the A and A' blocks set."""
+def _null_space(A: np.ndarray, hessian: np.ndarray):
+    """The once-per-solve part of the step solve for (B, m, n) and (B, n, n) stacks.
+
+    Returns [N; HN], [N'; (A')^+], N'HN and each member's grade of A:
+    cond(A)^2, inf where A has exactly dependent rows (or m > n), or NaN
+    where it is not finite.
+    """
     count, m, n = A.shape
-    kkt = np.zeros((count, n + m, n + m))
-    kkt[:, :n, n:] = A.transpose(0, 2, 1)
-    kkt[:, n:, :n] = A
-    return kkt
+    q, r = np.linalg.qr(A.transpose(0, 2, 1), mode="complete")
+    null = q[:, :, m:]
+    k = null.shape[-1]
+    product = hessian @ null
+    projector = np.zeros((count, k + m, n))
+    projector[:, :k] = null.transpose(0, 2, 1)
+    grade = np.full(count, math.inf)
+    for b in range(count if m <= n else 0):
+        R = r[b, :m]
+        if not np.isfinite(R).all():
+            grade[b] = math.nan
+        elif np.diagonal(R).all():
+            singular_values = np.linalg.svd(R, compute_uv=False)
+            with np.errstate(divide="ignore", over="ignore"):
+                grade[b] = (singular_values[0] / singular_values[-1]) ** 2
+            projector[b, k:] = solve_triangular(R, q[b, :, :m].T)
+    reduced = projector[:, :k] @ product
+    return np.concatenate([null, product], axis=1), projector, reduced, grade
 
 
-def _factor(kkt: np.ndarray, hessian: np.ndarray, x: np.ndarray, z: np.ndarray):
-    """Fill M = H + diag(z/x) into a `_kkt_template` stack and factor each member.
+def _factor(basis, projector, reduced, grade, x: np.ndarray, z: np.ndarray):
+    """Build G = N'HN + N' diag(z/x) N for each member and factor it.
 
     Returns the equilibration scales and, per member, `_lu`'s answer.
     """
-    (count, size, _), n = kkt.shape, x.shape[-1]
-    kkt[:, :n, :n] = hessian
-    diagonal = kkt.reshape(count, size * size)[:, : n * (size + 1) : size + 1]
-    np.add(diagonal, z / x, out=diagonal)
-    row_peak = np.abs(kkt).max(axis=2)
+    n, k = x.shape[-1], reduced.shape[-1]
+    matrix = reduced + (projector[:, :k] * (z / x)[:, np.newaxis, :]) @ basis[:, :n]
+    row_peak = np.abs(matrix).max(axis=2, initial=0.0)
     if not row_peak.all():
         row_peak[row_peak == 0.0] = 1.0
     scale = 1.0 / np.sqrt(row_peak)
-    equilibrated = kkt * scale[:, :, np.newaxis]
-    equilibrated *= scale[:, np.newaxis, :]
-    norms = np.abs(equilibrated).sum(axis=1).max(axis=1)
-    return scale, [_lu(matrix, norm) for matrix, norm in zip(equilibrated, norms)]
+    matrix *= scale[:, :, np.newaxis]
+    matrix *= scale[:, np.newaxis, :]
+    norms = np.abs(matrix).sum(axis=1).max(axis=1, initial=0.0)
+    return scale, [_lu(*member) for member in zip(matrix, norms.tolist(), grade.tolist())]
 
 
-def _lu(matrix: np.ndarray, norm: float):
-    # (lu, pivots, gecon condition estimate) of one member, or the error
-    # that rejects its system.
-    lu, pivots, info = dgetrf(matrix)
+def _lu(matrix: np.ndarray, norm: float, grade: float):
+    # (lu, pivots, condition estimate) of one member, or the error that
+    # rejects its system.  grade is cond(A)^2, the floor of the estimate.
+    if grade == math.inf:
+        return NumericalError("step system singular (A has linearly dependent rows)")
+    # At m = n, A alone fixes dx = 0 and G is empty.
+    lu, pivots, info = dgetrf(matrix) if matrix.size else (matrix, np.zeros(0, np.int32), 0)
     if info > 0:
         return NumericalError(f"step system singular (zero pivot in column {info})")
-    rcond = dgecon(lu, norm)[0]
-    estimate = 1.0 / rcond if 0.0 < rcond < math.inf else math.inf
-    if estimate > SINGULAR_CONDITION:
+    rcond = dgecon(lu, norm)[0] if matrix.size else 1.0
+    estimate = max(grade, 1.0 / rcond if 0.0 < rcond < math.inf else math.inf)
+    if not estimate <= SINGULAR_CONDITION:
         return NumericalError(
             f"step system numerically singular "
             f"(condition estimate {estimate:.3e} exceeds {SINGULAR_CONDITION:.0e})"
@@ -163,10 +192,10 @@ def _lu(matrix: np.ndarray, norm: float):
 
 
 def assemble_and_factor(p: Problem, state: IterateState) -> KktFactorization:
-    """Assemble the eliminated step system at an iterate and factor it.
+    """Assemble the step system at an iterate and factor it in the null space of A.
 
-    Raises NumericalError when the condition estimate of the equilibrated
-    factorization exceeds SINGULAR_CONDITION, which is the solver's
+    Raises NumericalError when A has dependent rows or the condition
+    estimate exceeds SINGULAR_CONDITION, which is the solver's
     numerical-failure signal.
     """
     n = p.n
@@ -174,17 +203,23 @@ def assemble_and_factor(p: Problem, state: IterateState) -> KktFactorization:
         raise ValueError("iterate dimensions do not match the problem")
     if state.x.min() <= 0.0 or state.z.min() <= 0.0:
         raise InteriorError("iterate is not strictly interior")
-    kkt = _kkt_template(p.A[np.newaxis])
     hessian = p.objective.evaluate(state.x)[2]
-    scale, (factor,) = _factor(kkt, hessian, state.x, state.z)
+    basis, projector, reduced, grade = _null_space(p.A[np.newaxis], hessian[np.newaxis])
+    scale, (factor,) = _factor(
+        basis, projector, reduced, grade, state.x[np.newaxis], state.z[np.newaxis]
+    )
     if isinstance(factor, NumericalError):
         raise factor
     lu, pivots, estimate = factor
-    for arr in (kkt, scale, lu, pivots):
+    weights = state.z / state.x
+    matrix = np.block([[hessian + np.diag(weights), p.A.T], [p.A, np.zeros((p.m, p.m))]])
+    for arr in (matrix, basis, projector, weights, scale, lu, pivots):
         arr.setflags(write=False)
     return KktFactorization(
-        matrix=kkt[0],
-        hessian=hessian,
+        matrix=matrix,
+        basis=basis[0],
+        projector=projector[0],
+        weights=weights,
         scale=scale[0],
         lu=lu,
         pivots=pivots,
@@ -203,7 +238,8 @@ def newton_step(p: Problem, state: IterateState, r: int) -> NewtonStep:
     h = newton_rhs(state, r)
     f = assemble_and_factor(p, state)
     (dx,), (dy,), (dz,), _, (residual,) = _newton_step(
-        p.A, f.matrix, f.hessian, state.x, state.z, h[np.newaxis],
+        p.A[np.newaxis], f.basis[np.newaxis], f.projector[np.newaxis],
+        state.x[np.newaxis], state.z[np.newaxis], h[np.newaxis],
         f.scale[np.newaxis], [(f.lu, f.pivots)],
     )
     if not residual <= RESIDUAL_LIMIT:
@@ -216,31 +252,44 @@ def newton_step(p: Problem, state: IterateState, r: int) -> NewtonStep:
 
 
 def _solve(factors, scale: np.ndarray, rhs: np.ndarray) -> np.ndarray:
-    # `KktFactorization.solve` per member; a member without factors gets 0.
+    # G v = rhs for (B, k, c) stacks through each member's equilibrated
+    # factors; a member without factors gets 0.
+    scale = scale[:, :, np.newaxis]
     scaled = rhs * scale
-    for b, f in enumerate(factors):
-        scaled[b] = dgetrs(f[0], f[1], scaled[b], overwrite_b=True)[0] if type(f) is tuple else 0
+    if scaled.shape[1]:
+        for b, f in enumerate(factors):
+            scaled[b] = dgetrs(f[0], f[1], scaled[b], overwrite_b=True)[0] if type(f) is tuple else 0
     return scaled * scale
 
 
-def _newton_step(A, kkt, hessian, x, z, h, scale, factors):
+def _reduced_solve(basis, projector, factors, scale, weights, rhs):
+    # [[M, A'], [A, 0]] [dx; u] = [rhs; 0] on (B, n, c) stacks, M = H + diag(weights):
+    # dx = N v with G v = N' rhs, refined once against the unscaled M, and
+    # u = (A')^+ (rhs - M dx).  Returns dx, H dx and u.
+    n, k = weights.shape[-1], basis.shape[-1]
+    weights = weights[:, :, np.newaxis]
+    null = projector[:, :k]
+    v = _solve(factors, scale, null @ rhs)
+    image = basis @ v
+    v += _solve(factors, scale, null @ (rhs - image[:, n:] - weights * image[:, :n]))
+    image = basis @ v
+    dx, h_dx = image[:, :n], image[:, n:]
+    return dx, h_dx, projector[:, k:] @ (rhs - h_dx - weights * dx)
+
+
+def _newton_step(A, basis, projector, x, z, h, scale, factors):
     """`newton_step` on a (B, .) stack of checked iterates and their `_factor` output.
 
     Returns dx, dy, dz, ||A dx|| and each member's worst relative residual,
     infinite where its factorization failed or a residual is not finite.
     """
-    n = x.shape[-1]
-    rhs = np.zeros(scale.shape)
-    rhs[:, :n] = h / x
-    solution = _solve(factors, scale, rhs)
-    solution += _solve(factors, scale, rhs - (kkt @ solution[:, :, np.newaxis])[:, :, 0])
-    dx = solution[:, :n]
-    dy = -solution[:, n:]
+    dx, h_dx, u = _reduced_solve(
+        basis, projector, factors, scale, z / x, (h / x)[:, :, np.newaxis]
+    )
+    dx, dy = dx[:, :, 0], -u[:, :, 0]
     dz = (h - z * dx) / x
-    column = dx[:, :, np.newaxis]
-    a_dx = _norm((A @ column)[:, :, 0])
-    dual = A.swapaxes(-1, -2) @ dy[:, :, np.newaxis] + dz[:, :, np.newaxis]
-    dual = (dual - hessian @ column)[:, :, 0]
+    a_dx = _norm((A @ dx[:, :, np.newaxis])[:, :, 0])
+    dual = (A.swapaxes(-1, -2) @ dy[:, :, np.newaxis] - h_dx)[:, :, 0] + dz
     norms = _norm(np.array([dual, z * dx + x * dz - h, dx, dz, h])).tolist()
     residual = []
     for f, primal, dual, comp, size_dx, size_dz, size_h in zip(factors, a_dx.tolist(), *norms):

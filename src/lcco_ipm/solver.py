@@ -34,7 +34,7 @@ from .centralpath import (
     _p,
     _scaling,
 )
-from .newton import RESIDUAL_LIMIT, _factor, _kkt_template, _newton_step
+from .newton import RESIDUAL_LIMIT, _factor, _newton_step, _null_space
 from .problem import Problem, validate_start
 
 __all__ = [
@@ -273,10 +273,10 @@ def solve_many(
     gap = np.array([float(s.x0 @ s.z0) for s in starts])
     mu = gap / n
     limit = np.array([cfg.resolved_max_iterations(bounds[i]) for i in ids])
-    kkt = _kkt_template(A)
     gradient, hessian = np.empty_like(x), np.empty((len(ids), n, n))
     for k, i in enumerate(ids):
         _, gradient[k], hessian[k] = problems[i].objective.evaluate(x[k])
+    space = _null_space(A, hessian)  # the Hessian of f is constant
     records = [[] for _ in problems]
     if on_record is None:
 
@@ -315,17 +315,17 @@ def solve_many(
                 ids = [i for i, kept in zip(ids, keep) if kept]
                 if not ids:
                     return results
-                mu, gap, limit, x, y, z, A, b, kkt, gradient, hessian = (
-                    a[keep] for a in (mu, gap, limit, x, y, z, A, b, kkt, gradient, hessian)
+                mu, gap, limit, x, y, z, A, b, gradient, *space = (
+                    a[keep] for a in (mu, gap, limit, x, y, z, A, b, gradient, *space)
                 )
             settle, stop = False, limit.min()
         shrunk = mu * shrink
         column = shrunk[:, np.newaxis]
         w = _scaling(x, z, column)
         pw = _p(w, r)
-        scale, factors = _factor(kkt, hessian, x, z)
+        scale, factors = _factor(*space, x, z)
         dx, dy, dz, a_dx, residual = _newton_step(
-            A, kkt, hessian, x, z, column * w * pw, scale, factors
+            A, *space[:2], x, z, column * w * pw, scale, factors
         )
         x_next, z_next = x + dx, z + dz
         if not (max(residual) <= RESIDUAL_LIMIT and x_next.min() > 0.0 and z_next.min() > 0.0):
@@ -341,7 +341,7 @@ def solve_many(
         gap = _dot(x, z)
         terms = _monitor_terms(w, _scaling(x, z, column), pw, r)
         for k, i in enumerate(ids):
-            _, gradient[k], hessian[k] = problems[i].objective.evaluate(x[k])
+            gradient[k] = problems[i].objective.evaluate(x[k])[1]
         primal = _norm((A @ x[:, :, np.newaxis])[:, :, 0] - b)
         dual = (A.transpose(0, 2, 1) @ y[:, :, np.newaxis])[:, :, 0] + z - gradient
         norms = _norm(np.array([pw, qw, dual, gradient, dx_s + dz_s - pw]))

@@ -2,7 +2,7 @@
 
 The small hand instance is graded against a dense np.linalg.solve of the
 full saddle system, which is an independent path around the package's
-equilibrated LU factorization.
+null-space factorization.
 """
 
 import math
@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 
 from lcco_ipm import (
+    SINGULAR_CONDITION,
     InteriorError,
     IterateState,
     NumericalError,
@@ -166,6 +167,35 @@ class TestFactorization:
             objective=ObjectiveSpec.linear([1.0, 1.0]),
         )
         state = IterateState.from_point([1.0, 1.0], [0.0, 0.0], [1.0, 1.0], 1.0)
+        with pytest.raises(NumericalError, match="condition estimate"):
+            assemble_and_factor(p, state)
+
+    @pytest.mark.parametrize("n, m", [(2, 2), (6, 3), (20, 10)])
+    @pytest.mark.parametrize("condition", [1e5, 1e6, 1e8])
+    def test_condition_of_a_gates_the_system(self, n, m, condition):
+        # A = U diag(s) V' with cond(A) = condition, at the centred start,
+        # where the reduced matrix is the identity: only the grade of A,
+        # cond(A)^2, can exceed SINGULAR_CONDITION, and it does at 1e8.
+        rng = np.random.default_rng(n)
+        u = np.linalg.qr(rng.standard_normal((m, m)))[0]
+        v = np.linalg.qr(rng.standard_normal((n, m)))[0]
+        A = u @ np.diag(np.geomspace(1.0, 1.0 / condition, m)) @ v.T
+        p = Problem(A=A, b=A.sum(axis=1), objective=ObjectiveSpec.linear(np.ones(n)))
+        state = IterateState.from_point(np.ones(n), np.zeros(m), np.ones(n), 1.0)
+        if condition**2 > SINGULAR_CONDITION:
+            with pytest.raises(NumericalError, match="condition estimate"):
+                assemble_and_factor(p, state)
+        else:
+            factorization = assemble_and_factor(p, state)
+            assert factorization.condition_estimate == pytest.approx(condition**2, rel=1e-6)
+
+    def test_non_finite_a_raises(self):
+        p = Problem(
+            A=[[math.nan, 1.0]],
+            b=[2.0],
+            objective=ObjectiveSpec.linear([1.0, 1.0]),
+        )
+        state = IterateState.from_point([1.0, 1.0], [0.0], [1.0, 1.0], 1.0)
         with pytest.raises(NumericalError, match="condition estimate"):
             assemble_and_factor(p, state)
 

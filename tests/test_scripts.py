@@ -1,5 +1,6 @@
 """The experiment scripts under scripts/, driven through their main()."""
 
+import hashlib
 import importlib.util
 import itertools
 import re
@@ -7,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from lcco_ipm import SolverConfig, generate_instance, solve
+from lcco_ipm import SolverConfig, generate_instance, solve, trace_to_csv
 
 SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
 
@@ -39,6 +40,26 @@ def test_trace_digest_is_reproducible(capsys):
         digests.append(capsys.readouterr().out)
     assert digests[0] == digests[1]
     assert re.fullmatch(r"runs 2, steps \d+, sha256 [0-9a-f]{64}\n", digests[0])
+
+
+def test_trace_digest_equals_one_built_from_whole_solo_traces(capsys):
+    # Records streamed into per-run digests hash as the whole trace does.
+    script = load("trace_digest")
+    assert script.main(["--n", "4", "--seeds", "1", "2", "--r", "1", "2"]) == 0
+    digest = hashlib.sha256()
+    for r in (1, 2):
+        for kind, seed in itertools.product(("linear", "quadratic"), (1, 2)):
+            result = solve(generate_instance(4, 2, kind, seed), SolverConfig(epsilon=1e-6, r=r))
+            digest.update(hashlib.sha256(trace_to_csv(result.trace).encode()).digest())
+            reprs = "".join(repr(record) for record in result.trace)
+            digest.update(hashlib.sha256(reprs.encode()).digest())
+            digest.update(
+                f"{result.status},{result.iterations},{result.bound},"
+                f"{result.gap_final!r}".encode()
+            )
+            for vector in (result.x, result.y, result.z):
+                digest.update(vector.tobytes())
+    assert capsys.readouterr().out.endswith(f"sha256 {digest.hexdigest()}\n")
 
 
 def test_run_grid_table_matches_solo_runs_in_grid_order(tmp_path, capsys):

@@ -184,3 +184,39 @@ class TestOracleAgainstTheSolver:
         assert abs(got - sol.objective_star) <= 1e-5 * (
             1.0 + abs(sol.objective_star)
         )
+
+
+class TestAboveTheOracleCaps:
+    """Answers at sizes the enumeration oracles refuse, checked another way."""
+
+    @pytest.mark.parametrize("n", [50, 200])
+    def test_lp_objective_matches_highs(self, n):
+        p = generate_instance(n, n // 2, "linear", 41)
+        result = solve(p, SolverConfig(epsilon=1e-6))
+        assert result.status == "converged"
+        hi = linprog(
+            p.objective.c,
+            A_eq=p.A,
+            b_eq=p.b,
+            bounds=[(0.0, None)] * p.n,
+            method="highs",
+        )
+        assert hi.status == 0
+        got = p.objective.evaluate(result.x)[0]
+        assert abs(got - hi.fun) <= 1e-5 * (1.0 + abs(hi.fun))
+
+    def test_qp_certificate_holds(self):
+        # Feasible x and (y, z) with z > 0, dual equation A'y + z = grad f(x),
+        # and x'z <= epsilon: x is then within epsilon of the optimum.
+        p = generate_instance(50, 25, "quadratic", 42)
+        epsilon = 1e-6
+        result = solve(p, SolverConfig(epsilon=epsilon))
+        assert result.status == "converged"
+        x, y, z = result.x, result.y, result.z
+        gradient = p.objective.c + p.objective.Q @ x
+        assert x.min() > 0.0
+        assert z.min() > 0.0
+        assert float(x @ z) <= epsilon
+        assert np.linalg.norm(p.A @ x - p.b) <= 1e-8 * (1.0 + np.linalg.norm(p.b))
+        dual = p.A.T @ y + z - gradient
+        assert np.linalg.norm(dual) <= 1e-8 * (1.0 + np.linalg.norm(gradient))
