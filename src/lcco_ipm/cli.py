@@ -19,6 +19,7 @@ from .verifier import (
     LP_SIZE_LIMIT,
     QP_SIZE_LIMIT,
     OracleError,
+    ReferenceSolution,
     kkt_residuals,
     reference_solve_lp,
     reference_solve_qp,
@@ -121,8 +122,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_solve.add_argument(
         "--check",
         action="store_true",
-        help="verify the result against KKT residuals and, when the instance "
-        "is small enough, the enumeration oracle",
+        help="verify the result against KKT residuals and a reference optimum: "
+        "the enumeration oracle when the instance is small enough, HiGHS for "
+        "larger linear instances",
     )
     p_solve.set_defaults(func=run_solve)
 
@@ -211,6 +213,28 @@ def _print_summary(path: str, problem, cfg: SolverConfig, result: SolveResult) -
     )
 
 
+def _reference_highs(problem) -> ReferenceSolution:
+    """LP optimum from HiGHS, for linear instances above the enumeration cap."""
+    # Imported here: loading scipy.optimize would slow every other start-up.
+    from scipy.optimize import linprog
+
+    found = linprog(
+        problem.objective.c,
+        A_eq=problem.A,
+        b_eq=problem.b,
+        bounds=(0.0, None),
+        method="highs",
+    )
+    if found.status != 0:
+        raise OracleError(found.message)
+    return ReferenceSolution(
+        x_star=found.x,
+        objective_star=float(found.fun),
+        method="highs",
+        certificates=found.message,
+    )
+
+
 def _print_check(problem, result: SolveResult) -> None:
     residuals = kkt_residuals(problem, result.x, result.y, result.z)
     print(
@@ -226,6 +250,8 @@ def _print_check(problem, result: SolveResult) -> None:
         solve_reference = reference_solve_lp
     elif kind == "quadratic" and problem.n <= QP_SIZE_LIMIT:
         solve_reference = reference_solve_qp
+    elif kind == "linear":
+        solve_reference = _reference_highs
     else:
         print(f"reference: skipped (n={problem.n} exceeds the enumeration limit)")
         return

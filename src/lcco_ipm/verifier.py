@@ -47,6 +47,10 @@ _SOLVE_RTOL = 1e-8
 _REDUCED_COST_TOL = 1e-9
 _RAY_TOL = 1e-10
 
+# Subsets per stacked LAPACK call: enough to amortise numpy's per-call
+# overhead, few enough to keep each stack to a few hundred kilobytes.
+_CHUNK = 128
+
 
 class OracleError(RuntimeError):
     """A reference solver could not certify an optimum."""
@@ -113,6 +117,57 @@ class ReferenceSolution:
     certificates: str
 
 
+def _chunks(subsets, width: int):
+    """Successive (count, width) index arrays of at most _CHUNK subsets each."""
+    while block := list(itertools.islice(subsets, _CHUNK)):
+        yield np.array(block, dtype=np.intp).reshape(len(block), width)
+
+
+def _nonsingular(stack) -> np.ndarray:
+    """Mask of the matrices whose LU meets no exact zero pivot.
+
+    slogdet runs the same getrf as np.linalg.solve and reports a zero pivot
+    as sign 0, so the mask drops exactly the systems on which solve raises.
+    """
+    return np.linalg.slogdet(stack)[0] != 0
+
+
+def _row_norms(rows) -> np.ndarray:
+    # The bits np.linalg.norm gives each 1-D row (sqrt of its dot with
+    # itself); norm(..., axis=-1) sums pairwise and can differ.
+    return np.sqrt(np.vecdot(rows, rows))
+
+
+def _matvec(matrices, vectors) -> np.ndarray:
+    # One gemv per row, the call `matrix @ vector` makes for a single pair.
+    return np.matmul(matrices, vectors[..., None])[..., 0]
+
+
+def _first_minimum(objectives) -> int:
+    """Index of the first least objective, NaN never winning (as with `<`)."""
+    return int(np.argmin(np.where(np.isnan(objectives), np.inf, objectives)))
+
+
+def _raise_on_ray(p: Problem, columns, bases, multipliers) -> None:
+    """Raise UnboundedError at the first feasible basis, then column, in walk
+    order whose negative reduced cost enters along a nonpositive direction."""
+    # One column dot per entry, the product `A[:, j] @ multipliers` takes.
+    reduced = p.objective.c - np.vecdot(p.A.T, multipliers[:, None, :])
+    nonbasic = np.ones((len(columns), p.n), dtype=bool)
+    nonbasic[np.arange(len(columns))[:, None], columns] = False
+    basis_at, entering = np.nonzero(nonbasic & (reduced < -_REDUCED_COST_TOL))
+    if not len(entering):
+        return
+    directions = np.linalg.solve(bases[basis_at], p.A.T[entering][..., None])[..., 0]
+    rays = np.flatnonzero(directions.max(axis=1) <= _RAY_TOL)
+    if len(rays):
+        i = rays[0]
+        raise UnboundedError(
+            f"objective decreases without bound along column {entering[i]} "
+            f"from basis {tuple(map(int, columns[basis_at[i]]))}"
+        )
+
+
 def reference_solve_lp(p: Problem) -> ReferenceSolution:
     """Exact LP optimum by enumeration of basic solutions.
 
@@ -120,7 +175,10 @@ def reference_solve_lp(p: Problem) -> ReferenceSolution:
     feasible basic solutions, and returns the first one attaining the
     minimal objective.  At every feasible basis the reduced costs are
     inspected: a negative reduced cost whose entering column yields a
-    nonnegative ray direction certifies an unbounded objective.
+    nonnegative ray direction certifies an unbounded objective.  The walk
+    takes the subsets in chunks and solves each chunk's bases with one
+    stacked LAPACK call, which runs the same dgesv on every basis as a
+    call per basis would.
     """
     if p.objective.kind != "linear":
         raise ValueError("reference_solve_lp requires a linear objective")
@@ -132,41 +190,46 @@ def reference_solve_lp(p: Problem) -> ReferenceSolution:
     best_objective = math.inf
     best_x = None
     best_columns = None
-    feasible_found = False
-    for columns in itertools.combinations(range(n), m):
-        picked = np.array(columns)
-        basis = p.A[:, picked]
+    for columns in _chunks(itertools.combinations(range(n), m), m):
+        # C-contiguous like A[:, picked], so each residual gemv is the same.
+        bases = p.A[:, columns].transpose(1, 0, 2).copy()
+        solvable = _nonsingular(bases)
+        columns, bases = columns[solvable], bases[solvable]
+        x_basic = np.linalg.solve(bases, p.b)
+        residual = _row_norms(_matvec(bases, x_basic) - p.b)
+        feasible = ~(residual > _SOLVE_RTOL * b_scale) & ~(
+            x_basic.min(axis=1) < -_FEASIBILITY_TOL
+        )
+        columns, bases, x_basic = columns[feasible], bases[feasible], x_basic[feasible]
+        if not len(columns):
+            continue
+        transposes = bases.transpose(0, 2, 1)
+        failure = None
         try:
-            x_basic = np.linalg.solve(basis, p.b)
-        except np.linalg.LinAlgError:
-            continue
-        if float(np.linalg.norm(basis @ x_basic - p.b)) > _SOLVE_RTOL * b_scale:
-            continue
-        if float(x_basic.min()) < -_FEASIBILITY_TOL:
-            continue
-        feasible_found = True
-        multipliers = np.linalg.solve(basis.T, c[picked])
-        for j in range(n):
-            if j in columns:
-                continue
-            reduced_cost = float(c[j] - p.A[:, j] @ multipliers)
-            if reduced_cost < -_REDUCED_COST_TOL:
-                direction = np.linalg.solve(basis, p.A[:, j])
-                if float(direction.max()) <= _RAY_TOL:
-                    raise UnboundedError(
-                        f"objective decreases without bound along column {j} "
-                        f"from basis {columns}"
-                    )
-        x = np.zeros(n)
-        x[picked] = np.maximum(x_basic, 0.0)
-        objective = float(c @ x)
-        if objective < best_objective:
-            best_objective = objective
-            best_x = x
-            best_columns = columns
+            multipliers = np.linalg.solve(transposes, c[columns][..., None])[..., 0]
+        except np.linalg.LinAlgError as exc:
+            # A basis can pass its own LU while its transpose meets an
+            # exact zero pivot; the walk fails there, after testing the
+            # rays of the bases before it.
+            failure = exc
+            stop = int(np.argmin(_nonsingular(transposes)))
+            columns, bases = columns[:stop], bases[:stop]
+            multipliers = np.linalg.solve(
+                transposes[:stop], c[columns][..., None]
+            )[..., 0]
+        _raise_on_ray(p, columns, bases, multipliers)
+        if failure is not None:
+            raise failure
+        x = np.zeros((len(columns), n))
+        x[np.arange(len(columns))[:, None], columns] = np.maximum(x_basic, 0.0)
+        objectives = np.vecdot(c, x)
+        i = _first_minimum(objectives)
+        if objectives[i] < best_objective:
+            best_objective = float(objectives[i])
+            best_x = x[i].copy()
+            best_columns = tuple(map(int, columns[i]))
     if best_x is None:
         raise InfeasibleError("no feasible basic solution exists")
-    assert feasible_found
     best_x.setflags(write=False)
     return ReferenceSolution(
         x_star=best_x,
@@ -186,7 +249,8 @@ def reference_solve_qp(p: Problem) -> ReferenceSolution:
     part certifies optimality.  The first accepted candidate with minimal
     objective wins.  Feasible-but-uncertified enumeration (possible when
     Q is singular on a face) is reported as DegenerateError rather than
-    guessed at.
+    guessed at.  Pinned sets of one size are taken in chunks, and each
+    chunk's KKT systems are solved with one stacked LAPACK call.
     """
     if p.objective.kind != "quadratic":
         raise ValueError("reference_solve_qp requires a quadratic objective")
@@ -200,37 +264,52 @@ def reference_solve_qp(p: Problem) -> ReferenceSolution:
     best_pinned = None
     feasible_found = False
     for size in range(n + 1):
-        for pinned in itertools.combinations(range(n), size):
-            free = np.array([j for j in range(n) if j not in pinned], dtype=int)
-            k = free.shape[0]
-            kkt = np.zeros((k + m, k + m))
-            kkt[:k, :k] = q[np.ix_(free, free)]
-            kkt[:k, k:] = p.A[:, free].T
-            kkt[k:, :k] = p.A[:, free]
-            rhs = np.concatenate([-c[free], p.b])
-            try:
-                solution = np.linalg.solve(kkt, rhs)
-            except np.linalg.LinAlgError:
-                continue
-            scale = 1.0 + float(np.linalg.norm(rhs))
-            if float(np.linalg.norm(kkt @ solution - rhs)) > _SOLVE_RTOL * scale:
-                continue
-            x_free = solution[:k]
-            multipliers = solution[k:]
-            if k and float(x_free.min()) < -_FEASIBILITY_TOL:
+        k = n - size
+        for pinned in _chunks(itertools.combinations(range(n), size), size):
+            rows = np.arange(len(pinned))[:, None]
+            is_free = np.ones((len(pinned), n), dtype=bool)
+            is_free[rows, pinned] = False
+            free = np.nonzero(is_free)[1].reshape(len(pinned), k)
+            a_free = p.A[:, free].transpose(1, 0, 2)
+            kkt = np.zeros((len(pinned), k + m, k + m))
+            kkt[:, :k, :k] = q[free[:, :, None], free[:, None, :]]
+            kkt[:, :k, k:] = a_free.transpose(0, 2, 1)
+            kkt[:, k:, :k] = a_free
+            rhs = np.concatenate(
+                [-c[free], np.broadcast_to(p.b, (len(pinned), m))], axis=1
+            )
+            solvable = _nonsingular(kkt)
+            pinned, free, kkt, rhs = (
+                pinned[solvable], free[solvable], kkt[solvable], rhs[solvable]
+            )
+            solution = np.linalg.solve(kkt, rhs[..., None])[..., 0]
+            scale = 1.0 + _row_norms(rhs)
+            accepted = ~(_row_norms(_matvec(kkt, solution) - rhs) > _SOLVE_RTOL * scale)
+            if k:
+                accepted &= ~(solution[:, :k].min(axis=1) < -_FEASIBILITY_TOL)
+            if not accepted.any():
                 continue
             feasible_found = True
-            x = np.zeros(n)
-            x[free] = np.maximum(x_free, 0.0)
-            if pinned:
-                reduced = (q @ x + c + p.A.T @ multipliers)[list(pinned)]
-                if float(reduced.min()) < -_REDUCED_COST_TOL:
+            pinned, free = pinned[accepted], free[accepted]
+            solution = solution[accepted]
+            x = np.zeros((len(pinned), n))
+            x[np.arange(len(pinned))[:, None], free] = np.maximum(solution[:, :k], 0.0)
+            qx = _matvec(q, x)
+            if size:
+                reduced = qx + c + _matvec(p.A.T, solution[:, k:])
+                certified = ~(
+                    np.take_along_axis(reduced, pinned, axis=1).min(axis=1)
+                    < -_REDUCED_COST_TOL
+                )
+                pinned, x, qx = pinned[certified], x[certified], qx[certified]
+                if not len(pinned):
                     continue
-            objective = float(c @ x) + 0.5 * float(x @ (q @ x))
-            if objective < best_objective:
-                best_objective = objective
-                best_x = x
-                best_pinned = pinned
+            objectives = np.vecdot(c, x) + 0.5 * np.vecdot(x, qx)
+            i = _first_minimum(objectives)
+            if objectives[i] < best_objective:
+                best_objective = float(objectives[i])
+                best_x = x[i].copy()
+                best_pinned = tuple(map(int, pinned[i]))
     if best_x is None:
         if feasible_found:
             raise DegenerateError(

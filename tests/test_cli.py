@@ -205,6 +205,45 @@ class TestSolve:
         assert "(auto)" not in out
 
 
+class TestCheckAboveTheEnumerationCaps:
+    def generate(self, tmp_path, n, m, objective):
+        path = tmp_path / f"{objective}_{n}.lcco"
+        assert main(["generate", "--n", str(n), "--m", str(m), "--objective",
+                     objective, "--seed", "3", "--out", str(path)]) == 0
+        return path
+
+    def test_large_lp_is_checked_against_highs(self, tmp_path, capsys):
+        path = self.generate(tmp_path, 50, 25, "linear")
+        assert main(["solve", str(path), "--check"]) == 0
+        out = capsys.readouterr().out
+        verdict = [line for line in out.splitlines() if line.startswith("reference")]
+        assert len(verdict) == 1
+        assert verdict[0].startswith("reference (highs): objective ")
+        assert verdict[0].endswith("-> agree")
+
+    def test_highs_without_an_optimum_gives_no_certificate(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        import scipy.optimize
+
+        def no_optimum(*args, **kwargs):
+            return scipy.optimize.OptimizeResult(
+                status=2, message="The problem is infeasible."
+            )
+
+        monkeypatch.setattr(scipy.optimize, "linprog", no_optimum)
+        path = self.generate(tmp_path, 13, 6, "linear")
+        assert main(["solve", str(path), "--check"]) == 0
+        out = capsys.readouterr().out
+        assert "reference: no certificate (The problem is infeasible.)" in out
+
+    def test_large_qp_is_still_skipped(self, tmp_path, capsys):
+        path = self.generate(tmp_path, 11, 5, "quadratic")
+        assert main(["solve", str(path), "--check"]) == 0
+        out = capsys.readouterr().out
+        assert "reference: skipped (n=11 exceeds the enumeration limit)" in out
+
+
 class TestSweep:
     def test_rows_argmin_and_determinism(self, tmp_path, instance_path, capsys):
         out_a = tmp_path / "sweep_a.csv"
