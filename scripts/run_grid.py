@@ -115,13 +115,13 @@ def run(args, configs, out) -> int:
         summaries = {}
         for r in args.r:
             # The table needs only each run's largest proximity, so the
-            # records are reduced as they come instead of being kept.
+            # trace blocks are reduced as they come instead of being kept.
             peaks = {}
 
-            def peak(i, record):
-                peaks[i] = max(peaks.get(i, record.gamma), record.gamma)
+            def peak(i, block):
+                peaks[i] = max(peaks.get(i, 0.0), float(block.gamma.max()))
 
-            results = solve_many(problems.values(), configs[r], on_record=peak)
+            results = solve_many(problems.values(), configs[r], on_block=peak)
             for i, ((kind, seed), result) in enumerate(zip(problems, results)):
                 summary = summarize(n, kind, seed, r, result, peaks.get(i, 0.0))
                 summaries[kind, seed, r] = summary

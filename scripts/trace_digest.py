@@ -2,7 +2,7 @@
 
 Solves every (n, kind, seed, r) combination, like run_grid.py, with one
 `solve_many` batch per (n, r) group.  Each run gets two sha256 of its
-trace as the records stream in: one of its trace CSV bytes and one of
+trace as its blocks stream in: one of its trace CSV bytes and one of
 the repr of every trace record (all fields, monitors included).  When a
 batch ends, its runs are fed in (n, r, kind, seed) order into one sha256
 with those two digests, the status, iteration count, bound and final
@@ -60,13 +60,13 @@ def main(argv=None) -> int:
             csv = [hashlib.sha256(f"{TRACE_HEADER}\n".encode()) for _ in problems]
             reprs = [hashlib.sha256() for _ in problems]
 
-            def on_record(i, record):
+            def on_block(i, block):
                 # trace_to_csv of the whole trace is the header, then each row.
-                csv[i].update(trace_to_csv((record,))[len(TRACE_HEADER) + 1 :].encode())
-                reprs[i].update(repr(record).encode())
+                csv[i].update(trace_to_csv(block)[len(TRACE_HEADER) + 1 :].encode())
+                reprs[i].update("".join(map(repr, block)).encode())
 
             cfg = SolverConfig(epsilon=args.eps, r=r)
-            batch = solve_many(problems, cfg, on_record=on_record)
+            batch = solve_many(problems, cfg, on_block=on_block)
             for result, csv_digest, repr_digest in zip(batch, csv, reprs):
                 digest.update(csv_digest.digest())
                 digest.update(repr_digest.digest())

@@ -17,9 +17,9 @@ outcomes, the caller decides what to do with them.
 
 Public functions validate their input, then call the unchecked kernels
 that hold each formula once: `_scaling`, `_p`, `_dot`, `_norm`,
-`_directions`, `_monitor_terms` and `_grade`.  All but `_grade` take any
-leading batch axes, so the solver's loop calls them once per step on a
-stack of already-checked iterates.
+`_directions`, `_monitor_terms` and `_grade`.  All take arrays with any
+leading axes, so the solver's loop calls them once per step on a stack
+of already-checked iterates, and `_grade` once per block of steps.
 """
 
 from __future__ import annotations
@@ -360,8 +360,11 @@ def monitor_step(
         raise ValueError("monitors compare iterates at one fixed barrier value")
     terms = _monitor_terms(before.w, after.w, dirs.pw, r)
     norms = _norm(np.array([dirs.pw, dirs.qw]))
-    return _grade(
-        *(float(t) for t in (*terms, *norms)), dirs.dxTdz, after.gap(), before.mu, before.n, r
+    column = np.array([*terms, *norms, dirs.dxTdz, after.gap(), before.mu])[:, np.newaxis]
+    flags, *bounds = _grade(*column, before.n, r)
+    gamma_before, gamma_after = column[:2, 0].tolist()
+    return MonitorReport(
+        *flags[:, 0].tolist(), gamma_before, gamma_after, *(float(b[0]) for b in bounds)
     )
 
 
@@ -374,48 +377,36 @@ def _monitor_terms(w_before, w_after, pw, r: int):
     return gamma_before, gamma_after, w_after.min(axis=-1), eq115
 
 
-def _grade(
-    gamma_before: float,
-    gamma_after: float,
-    min_w: float,
-    eq115_slack: float,
-    norm_pw: float,
-    norm_qw: float,
-    dxTdz: float,
-    gap: float,
-    mu: float,
-    n: int,
-    r: int,
-) -> MonitorReport:
-    # The scalar part of `monitor_step`, one member at a time.  Margins are
-    # collected in the order lemma2, lemma4, lemma5, eq115, eq111, eq112.
-    contraction_bound = _contraction(r) * gamma_before**2
+def _grade(gamma_before, gamma_after, min_w, eq115_slack, norm_pw, norm_qw, dxTdz, gap, mu, n, r):
+    # The rest of `monitor_step`, elementwise over arrays of one shape: one
+    # step, or a block of steps of a batch.  Returns the six flags stacked in
+    # MonitorReport field order, the contraction bound, the gap bound and
+    # the worst margin, each with the bits that grading one step in Python
+    # floats gives.  So Gamma^2 goes through libm pow, as Python's ** does:
+    # numpy's ** squares by multiplying, which can differ in the last bit.
+    square = np.float_power(gamma_before, 2.0)
+    contraction_bound = _contraction(r) * square
     gap_bound = mu * (n + (r - 1) ** 2 * math.exp(-2.0 * r))
-    margins = []
-    lemma2_ok = lemma4_ok = lemma5_ok = True
-    if gamma_before < 1.0:
-        margins.append(min_w - math.sqrt(1.0 - gamma_before**2))
-        lemma2_ok = margins[-1] >= -MONITOR_SLACK
-    if gamma_before < math.exp(-r):
-        margins += (contraction_bound - gamma_after, gap_bound - gap)
-        lemma4_ok = margins[-2] >= -MONITOR_SLACK
-        lemma5_ok = margins[-1] >= -MONITOR_SLACK
-    margins += (eq115_slack, dxTdz, norm_pw - norm_qw)
-    eq115_ok, eq111_ok, eq112_ok = (m >= -MONITOR_SLACK for m in margins[-3:])
-
-    return MonitorReport(
-        lemma2_ok=lemma2_ok,
-        lemma4_ok=lemma4_ok,
-        lemma5_ok=lemma5_ok,
-        eq115_ok=eq115_ok,
-        eq111_ok=eq111_ok,
-        eq112_ok=eq112_ok,
-        gamma_before=gamma_before,
-        gamma_after=gamma_after,
-        contraction_bound=contraction_bound,
-        gap_bound=gap_bound,
-        worst_margin=min(margins),
-    )
+    near = gamma_before < 1.0  # lemma2 applies
+    close = gamma_before < math.exp(-r)  # lemma4 and lemma5 apply
+    with np.errstate(invalid="ignore"):
+        margins = (
+            min_w - np.sqrt(1.0 - square),
+            contraction_bound - gamma_after,
+            gap_bound - gap,
+            eq115_slack,
+            dxTdz,
+            norm_pw - norm_qw,
+        )
+    held = [margin >= -MONITOR_SLACK for margin in margins]
+    flags = np.array([held[0] | ~near, held[1] | ~close, held[2] | ~close, *held[3:]])
+    # Python's min over the margins that apply, in the order above: the
+    # first, then each later one that compares below it, so NaN and -0.0
+    # land as they would there.
+    worst = np.where(near, margins[0], eq115_slack)
+    for margin, applies in zip(margins[1:], (close, close, True, True, True)):
+        worst = np.where(applies & (margin < worst), margin, worst)
+    return flags, contraction_bound, gap_bound, worst
 
 
 def eq117_ratio(w_grid, r: int) -> np.ndarray:

@@ -13,6 +13,8 @@ import sys
 from dataclasses import dataclass
 from pathlib import Path
 
+import numpy as np
+
 from .problem import generate_instance, parse_instance, serialize_instance
 from .solver import AUTO, SolveResult, SolverConfig, gamma_threshold, solve, trace_to_csv
 from .verifier import (
@@ -183,7 +185,7 @@ def _build_config(args, r: int) -> SolverConfig:
 
 
 def _max_gamma(result: SolveResult) -> float:
-    return max((record.gamma for record in result.trace), default=0.0)
+    return max(result.trace.gamma.tolist(), default=0.0)
 
 
 def _print_summary(path: str, problem, cfg: SolverConfig, result: SolveResult) -> None:
@@ -257,7 +259,8 @@ def _print_check(problem, result: SolveResult) -> None:
         return
     try:
         reference = solve_reference(problem)
-    except OracleError as exc:
+    except (OracleError, np.linalg.LinAlgError) as exc:
+        # An exactly singular subset system can stop an oracle's walk early.
         print(f"reference: no certificate ({exc})")
         return
     value = problem.objective.evaluate(result.x)[0]

@@ -18,6 +18,8 @@ guarantee, and a strict mode promotes any breach to a hard failure.
 from __future__ import annotations
 
 import math
+import operator
+from collections.abc import Sequence
 from dataclasses import dataclass
 from typing import Union
 
@@ -42,6 +44,7 @@ __all__ = [
     "TRACE_HEADER",
     "SolverConfig",
     "SolveResult",
+    "Trace",
     "TraceRecord",
     "default_theta",
     "gamma_threshold",
@@ -179,6 +182,109 @@ class TraceRecord:
     scaled_primal: float
 
 
+# The rows of a Trace: the TraceRecord floats in field order, the floats of
+# its MonitorReport (gamma_after is gamma), then what no record carries.
+_COLUMNS = (
+    "mu", "gap", "gamma", "min_w", "norm_pw", "norm_qw", "dxTdz", "primal_res",
+    "dual_res", "grad_norm", "kernel_defect", "scaled_primal",
+    "gamma_before", "contraction_bound", "gap_bound", "worst_margin",
+    "eq115_slack", "condition", "step_residual",
+)
+_ROW = {name: row for row, name in enumerate(_COLUMNS)}
+
+
+def _rows(*names) -> list[int]:
+    return [_ROW[name] for name in names]
+
+
+# What the loop writes each step, in the order it computes them; the
+# scaled_primal row holds ||A dx|| until the block is graded.
+_STEP = _rows(
+    "gamma_before", "gamma", "min_w", "eq115_slack",
+    "norm_pw", "norm_qw", "dual_res", "grad_norm", "kernel_defect",
+    "dxTdz", "gap", "mu", "primal_res", "scaled_primal", "step_residual", "condition",
+)
+# The `_grade` arguments, and the three floats it returns with the flags.
+_GRADED = _rows(
+    "gamma_before", "gamma", "min_w", "eq115_slack", "norm_pw", "norm_qw", "dxTdz", "gap", "mu"
+)
+_BOUNDS = _rows("contraction_bound", "gap_bound", "worst_margin")
+
+
+def _record(iteration: int, v: list, flags: list) -> TraceRecord:
+    # One row of a Trace, from Python floats and bools.
+    return TraceRecord(
+        iteration, *v[:9], MonitorReport(*flags, v[12], v[2], *v[13:16]), *v[9:12]
+    )
+
+
+class Trace(Sequence):
+    """A run's trace: a read-only sequence of TraceRecord, held as columns.
+
+    A record is built only when it is read, and a trace equals any
+    sequence of equal records, so `trace == ()` holds for an empty one.
+    A slice is a Trace.  `iteration` and the float columns read as
+    read-only arrays: `trace.gamma`, and likewise every float field of
+    TraceRecord (mu, gap, ..., scaled_primal), the floats of its monitor
+    report (gamma_before, contraction_bound, gap_bound, worst_margin), and
+    three columns no record carries: eq115_slack, the smallest eq115
+    slack; condition, the condition estimate of the step system; and
+    step_residual, the worst relative residual of the step equations.
+    """
+
+    __slots__ = ("iteration", "_values", "_flags")
+
+    def __init__(self, iteration, values, flags):
+        # (T,) ints, (len(_COLUMNS), T) floats and (6, T) bools in
+        # MonitorReport's flag order.
+        for arr in (iteration, values, flags):
+            arr.setflags(write=False)
+        self.iteration, self._values, self._flags = iteration, values, flags
+
+    @classmethod
+    def concat(cls, parts) -> "Trace":
+        """One trace of `parts` in order; the empty trace if there are none."""
+        parts = [cls(np.zeros(0, int), np.zeros((len(_COLUMNS), 0)), np.zeros((6, 0), bool)),
+                 *parts]
+        return cls(
+            np.concatenate([part.iteration for part in parts]),
+            np.concatenate([part._values for part in parts], axis=1),
+            np.concatenate([part._flags for part in parts], axis=1),
+        )
+
+    def __getattr__(self, name):
+        if name in _ROW:
+            return self._values[_ROW[name]]
+        raise AttributeError(f"'Trace' object has no attribute {name!r}")
+
+    def __len__(self) -> int:
+        return len(self.iteration)
+
+    def __getitem__(self, index):
+        if isinstance(index, slice):
+            return Trace(self.iteration[index], self._values[:, index], self._flags[:, index])
+        return _record(
+            self.iteration[index].item(),
+            self._values[:, index].tolist(),
+            self._flags[:, index].tolist(),
+        )
+
+    def __iter__(self):
+        return map(
+            _record, self.iteration.tolist(), self._values.T.tolist(), self._flags.T.tolist()
+        )
+
+    def __eq__(self, other):
+        if not isinstance(other, Sequence):
+            return NotImplemented
+        return len(self) == len(other) and all(map(operator.eq, self, other))
+
+    __hash__ = None
+
+    def __repr__(self) -> str:
+        return f"<Trace of {len(self)} records>"
+
+
 @dataclass(frozen=True, eq=False)
 class SolveResult:
     """Final iterate, status, and the per-iteration trace.
@@ -198,8 +304,12 @@ class SolveResult:
     gap_final: float
     iterations: int
     bound: int
-    trace: tuple[TraceRecord, ...]
+    trace: Trace
     monitor_violations: int
+
+
+# Steps recorded in one block before the monitors grade it.
+_BLOCK = 128
 
 
 def solve(p: Problem, cfg: SolverConfig = SolverConfig()) -> SolveResult:
@@ -215,7 +325,7 @@ def solve(p: Problem, cfg: SolverConfig = SolverConfig()) -> SolveResult:
 
 
 def solve_many(
-    problems, cfg: SolverConfig = SolverConfig(), *, on_record=None
+    problems, cfg: SolverConfig = SolverConfig(), *, on_block=None
 ) -> list[SolveResult]:
     """Run `solve` on problems of one shape (n, m) in lockstep, in order.
 
@@ -225,10 +335,15 @@ def solve_many(
     and leaves the batch when it stops, so every result equals its solo
     `solve` bit for bit.  Problems of mixed shape raise ValueError.
 
-    With on_record, each record goes to on_record(index, record) as soon
-    as it is made, index being the member's place in `problems`, and the
-    results' traces stay empty; a caller that needs only a summary of the
-    trace then never holds it whole.
+    Each step writes its quantities into a block of columns, and the
+    monitors grade the block at once: when it is full, when a member
+    leaves and when the batch ends, and after every step under
+    strict_monitors, so that a breach stops the run at its own step.
+    With on_block, each member's part of a graded block goes to
+    on_block(index, block), index being the member's place in `problems`
+    and block a Trace of its next iterations, and the results' traces
+    stay empty; a caller that needs only a summary of the trace then
+    never holds it whole.
     """
     problems = list(problems)
     if len({(p.n, p.m) for p in problems}) > 1:
@@ -255,7 +370,7 @@ def solve_many(
                 gap_final=gap0,
                 iterations=0,
                 bound=bounds[i],
-                trace=(),
+                trace=Trace.concat(()),
                 monitor_violations=0,
             )
     ids = [i for i, result in enumerate(results) if result is None]
@@ -273,18 +388,44 @@ def solve_many(
     gap = np.array([float(s.x0 @ s.z0) for s in starts])
     mu = gap / n
     limit = np.array([cfg.resolved_max_iterations(bounds[i]) for i in ids])
-    gradient, hessian = np.empty_like(x), np.empty((len(ids), n, n))
-    for k, i in enumerate(ids):
-        _, gradient[k], hessian[k] = problems[i].objective.evaluate(x[k])
+    hessian = np.array([problems[i].objective.evaluate(x[k])[2] for k, i in enumerate(ids)])
     space = _null_space(A, hessian)  # the Hessian of f is constant
-    records = [[] for _ in problems]
-    if on_record is None:
+    # The gradient is c + Q x, as ObjectiveSpec.evaluate has it, with Q = 0
+    # for a linear objective; a batch of linear ones skips the product.
+    linear = np.array([problems[i].objective.kind == "linear" for i in ids])
+    c = gradient = np.array([problems[i].objective.c for i in ids])
+    curved = not linear.all()
+    Q = hessian
+    Q[linear] = 0.0
+    parts = [[] for _ in problems]
+    if on_block is None:
 
-        def on_record(i, record):
-            records[i].append(record)
+        def on_block(i, block):
+            parts[i].append(block)
 
     violations = [0] * len(problems)
     steps = 0  # members step in lockstep, so every active one has taken `steps`
+    depth = 1 if cfg.strict_monitors else _BLOCK
+    rows = 0  # steps written to the block and not yet graded
+
+    def flush():
+        # Grade the block, pass each member its part, and return each
+        # member's count of false flags.
+        nonlocal rows
+        if not rows:
+            return []
+        block = blocks[:rows]
+        block[:, _ROW["scaled_primal"]] /= block[:, _ROW["mu"]]
+        flags, *graded = _grade(*(block[:, j] for j in _GRADED), n, r)
+        for j, values in zip(_BOUNDS, graded):
+            block[:, j] = values
+        failed = np.count_nonzero(~flags, axis=(0, 1)).tolist()
+        iteration = np.arange(steps - rows + 1, steps + 1)
+        for k, i in enumerate(ids):
+            violations[i] += failed[k]
+            on_block(i, Trace(iteration, block[:, :, k].T, flags[:, :, k]))
+        rows = 0
+        return failed
 
     def finish(k, status, mu_k):
         vectors = x[k].copy(), y[k].copy(), z[k].copy()
@@ -300,13 +441,14 @@ def solve_many(
             gap_final=float(gap[k]),
             iterations=steps,
             bound=bounds[i],
-            trace=tuple(records[i]),
+            trace=Trace.concat(parts[i]),
             monitor_violations=violations[i],
         )
 
     settle = True  # some member may have stopped
     while True:
         if settle:
+            flush()
             for k in np.flatnonzero(~((gap > cfg.epsilon) & (steps < limit))):
                 if results[ids[k]] is None:
                     finish(k, "converged" if not gap[k] > cfg.epsilon else "iteration_cap", mu[k])
@@ -315,9 +457,10 @@ def solve_many(
                 ids = [i for i, kept in zip(ids, keep) if kept]
                 if not ids:
                     return results
-                mu, gap, limit, x, y, z, A, b, gradient, *space = (
-                    a[keep] for a in (mu, gap, limit, x, y, z, A, b, gradient, *space)
+                mu, gap, limit, x, y, z, A, b, c, Q, *space = (
+                    a[keep] for a in (mu, gap, limit, x, y, z, A, b, c, Q, *space)
                 )
+                gradient = c
             settle, stop = False, limit.min()
         shrunk = mu * shrink
         column = shrunk[:, np.newaxis]
@@ -331,6 +474,7 @@ def solve_many(
         if not (max(residual) <= RESIDUAL_LIMIT and x_next.min() > 0.0 and z_next.min() > 0.0):
             fine = np.array(residual) <= RESIDUAL_LIMIT
             fine &= (x_next.min(axis=1) > 0.0) & (z_next.min(axis=1) > 0.0)
+            flush()
             for k in np.flatnonzero(~fine):
                 finish(k, "numerical_failure", shrunk[k])
             settle = True
@@ -339,47 +483,34 @@ def solve_many(
         mu, steps = shrunk, steps + 1
         x, y, z = x_next, y + dy, z_next
         gap = _dot(x, z)
-        terms = _monitor_terms(w, _scaling(x, z, column), pw, r)
-        for k, i in enumerate(ids):
-            gradient[k] = problems[i].objective.evaluate(x[k])[1]
+        if curved:
+            gradient = c + (Q @ x[:, :, np.newaxis])[:, :, 0]
         primal = _norm((A @ x[:, :, np.newaxis])[:, :, 0] - b)
         dual = (A.transpose(0, 2, 1) @ y[:, :, np.newaxis])[:, :, 0] + z - gradient
-        norms = _norm(np.array([pw, qw, dual, gradient, dx_s + dz_s - pw]))
-        # One list of Python floats per quantity, indexed by member.
-        gamma_before, gamma_after, min_w, eq115 = np.array(terms).tolist()
-        norm_pw, norm_qw, dual_res, grad_norm, defect = norms.tolist()
-        dxTdz, gaps, mus, primal_res, a_dx = np.array([dxTdz, gap, mu, primal, a_dx]).tolist()
-        for k, i in enumerate(ids):
-            monitors = _grade(
-                gamma_before[k], gamma_after[k], min_w[k], eq115[k], norm_pw[k],
-                norm_qw[k], dxTdz[k], gaps[k], mus[k], n, r,
-            )
-            failed = monitors.violation_count
-            violations[i] += failed
-            on_record(i, TraceRecord(
-                iteration=steps,
-                mu=mus[k],
-                gap=gaps[k],
-                gamma=gamma_after[k],
-                min_w=min_w[k],
-                norm_pw=norm_pw[k],
-                norm_qw=norm_qw[k],
-                dxTdz=dxTdz[k],
-                primal_res=primal_res[k],
-                dual_res=dual_res[k],
-                monitors=monitors,
-                grad_norm=grad_norm[k],
-                kernel_defect=defect[k],
-                scaled_primal=a_dx[k] / mus[k],
-            ))
-            if cfg.strict_monitors and failed:
-                finish(k, "numerical_failure", mus[k])
-            settle = settle or not gaps[k] > cfg.epsilon or results[i] is not None
-        settle = settle or steps >= stop
+        values = (
+            *_monitor_terms(w, _scaling(x, z, column), pw, r),
+            *_norm(np.array([pw, qw, dual, gradient, dx_s + dz_s - pw])),
+            dxTdz, gap, mu, primal, a_dx, residual, [f[2] for f in factors],
+        )
+        if not rows:  # a graded block belongs to its Trace parts
+            blocks = np.empty((depth, len(_COLUMNS), len(ids)))
+        row = blocks[rows]
+        for j, value in zip(_STEP, values):
+            row[j] = value
+        rows += 1
+        settle = steps >= stop or not gap.min() > cfg.epsilon
+        if rows == depth:
+            failed = flush()
+            if cfg.strict_monitors:
+                for k in np.flatnonzero(failed):
+                    finish(k, "numerical_failure", mu[k])
+                    settle = True
 
 
-def _g17(value: float) -> str:
-    return format(float(value), ".17g")
+# One trace CSV row: iteration, nine floats, then the six flags, which the
+# header orders lemma2, lemma4, lemma5, eq111, eq112, eq115.
+_CSV_ROW = "%d" + ",%.17g" * 9 + ",%d" * 6 + "\n"
+_CSV_FLAGS = [0, 1, 2, 4, 5, 3]  # rows of MonitorReport-ordered flags, in header order
 
 
 def trace_to_csv(trace) -> str:
@@ -388,25 +519,21 @@ def trace_to_csv(trace) -> str:
     One row per iteration under the TRACE_HEADER columns, numbers with 17
     significant digits, monitor flags as 1/0.  The output is a pure
     function of the records, so equal traces serialize byte-identically.
+    A Trace is formatted from its columns, without building records.
     """
-    lines = [TRACE_HEADER]
-    for record in trace:
-        lines.append(
-            ",".join(
-                [
-                    str(record.iteration),
-                    _g17(record.mu),
-                    _g17(record.gap),
-                    _g17(record.gamma),
-                    _g17(record.min_w),
-                    _g17(record.norm_pw),
-                    _g17(record.norm_qw),
-                    _g17(record.dxTdz),
-                    _g17(record.primal_res),
-                    _g17(record.dual_res),
-                    # lemma2, lemma4, lemma5, eq111, eq112, eq115, as in the header
-                    *("1" if ok else "0" for ok in record.monitors.flags.values()),
-                ]
-            )
+    if isinstance(trace, Trace):
+        rows = zip(
+            trace.iteration.tolist(),
+            *trace._values[:9].tolist(),
+            *trace._flags[_CSV_FLAGS].tolist(),
         )
-    return "\n".join(lines) + "\n"
+    else:
+        rows = (
+            (
+                record.iteration, record.mu, record.gap, record.gamma, record.min_w,
+                record.norm_pw, record.norm_qw, record.dxTdz, record.primal_res,
+                record.dual_res, *record.monitors.flags.values(),
+            )
+            for record in trace
+        )
+    return TRACE_HEADER + "\n" + "".join([_CSV_ROW % row for row in rows])

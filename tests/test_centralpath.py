@@ -22,6 +22,7 @@ from lcco_ipm import (
     DirectionError,
     InteriorError,
     IterateState,
+    MonitorReport,
     NewtonStep,
     ScaledDirections,
     check_eq117_inequality,
@@ -334,6 +335,95 @@ class TestMonitorStep:
         assert report.lemma2_ok and report.lemma4_ok and report.lemma5_ok
         # The gap ceiling would fail if it were evaluated.
         assert after.gap() > report.gap_bound
+
+
+def scalar_grade(gamma_before, gamma_after, min_w, eq115_slack, norm_pw, norm_qw,
+                 dxTdz, gap, mu, n, r):
+    """The one-step grader the array grader replaced, kept verbatim as its reference."""
+    contraction_bound = centralpath._contraction(r) * gamma_before**2
+    gap_bound = mu * (n + (r - 1) ** 2 * math.exp(-2.0 * r))
+    margins = []
+    lemma2_ok = lemma4_ok = lemma5_ok = True
+    if gamma_before < 1.0:
+        margins.append(min_w - math.sqrt(1.0 - gamma_before**2))
+        lemma2_ok = margins[-1] >= -MONITOR_SLACK
+    if gamma_before < math.exp(-r):
+        margins += (contraction_bound - gamma_after, gap_bound - gap)
+        lemma4_ok = margins[-2] >= -MONITOR_SLACK
+        lemma5_ok = margins[-1] >= -MONITOR_SLACK
+    margins += (eq115_slack, dxTdz, norm_pw - norm_qw)
+    eq115_ok, eq111_ok, eq112_ok = (m >= -MONITOR_SLACK for m in margins[-3:])
+
+    return MonitorReport(
+        lemma2_ok=lemma2_ok,
+        lemma4_ok=lemma4_ok,
+        lemma5_ok=lemma5_ok,
+        eq115_ok=eq115_ok,
+        eq111_ok=eq111_ok,
+        eq112_ok=eq112_ok,
+        gamma_before=gamma_before,
+        gamma_after=gamma_after,
+        contraction_bound=contraction_bound,
+        gap_bound=gap_bound,
+        worst_margin=min(margins),
+    )
+
+
+class TestArrayGrader:
+    # Python's gamma**2 and numpy's gamma*gamma differ in the last bit here.
+    SQUARE_SPLIT = 0.0003959287666420286
+
+    def cases(self, r):
+        threshold = math.exp(-r)
+        gammas = [
+            1.0, math.nextafter(1.0, 0.0), threshold, math.nextafter(threshold, 0.0),
+            self.SQUARE_SPLIT, 0.0, 0.3, 2.5, math.nan,
+        ]
+        rng = np.random.default_rng(r)
+        gammas += (rng.random(40) * 0.5).tolist()
+        rows = []
+        for k, g in enumerate(gammas):
+            base = [g, 0.6 * g * g, 1.0 - 0.5 * g, 0.01, 0.8, 0.5, 0.02, 3.9, 1.0]
+            rows.append(base)
+            # A margin exactly at the slack, then just past it.
+            rows.append(base[:3] + [-MONITOR_SLACK] + base[4:6] + [-MONITOR_SLACK] + base[7:])
+            rows.append(base[:3] + [-2e-9] + base[4:6] + [math.nextafter(-MONITOR_SLACK, -1.0)]
+                        + base[7:])
+            # A NaN in each term but gamma_before, one at a time.
+            term = 1 + k % 8
+            rows.append(base[:term] + [math.nan] + base[term + 1:])
+            # Margins that tie at -0.0 and 0.0, and a breach of every check.
+            rows.append([g, 0.0, 1.0, -0.0, 0.5, 0.5, 0.0, 0.0, 1.0])
+            rows.append([g, 10.0, 0.0, -1.0, 0.1, 0.9, -1.0, 50.0, 1.0])
+        return rows
+
+    @pytest.mark.parametrize("r", [1, 2, 3])
+    def test_equals_the_scalar_grader_bit_for_bit(self, r):
+        rows = self.cases(r)
+        columns = np.array(rows).T
+        n = 4
+        flags, *bounds = centralpath._grade(*columns, n, r)
+        for k, row in enumerate(rows):
+            want = scalar_grade(*row, n, r)
+            got = MonitorReport(
+                *flags[:, k].tolist(), row[0], row[1], *(float(b[k]) for b in bounds)
+            )
+            assert repr(got) == repr(want), row
+
+    def test_squares_keep_the_bits_of_python_pow(self):
+        g = self.SQUARE_SPLIT
+        assert g**2 != g * g
+        _, contraction_bound, _, _ = centralpath._grade(
+            *np.array([[g, 0.0, 1.0, 0.0, 1.0, 0.0, 0.0, 1.0, 1.0]]).T, 4, 1
+        )
+        assert contraction_bound[0] == centralpath._contraction(1) * g**2
+
+    def test_grades_blocks_of_any_shape(self):
+        rows = np.array(self.cases(1))
+        flat = centralpath._grade(*rows.T, 4, 1)
+        block = centralpath._grade(*rows.T.reshape(9, -1, 6), 4, 1)
+        for a, b in zip(flat, block):
+            assert np.array_equal(a.reshape(b.shape), b, equal_nan=a.dtype != bool)
 
 
 class TestKernelRatioGrid:

@@ -183,6 +183,22 @@ class TestSolve:
         assert "kkt:" in out
         assert "-> agree" in out
 
+    def test_singular_oracle_system_gives_no_certificate(
+        self, instance_path, capsys, monkeypatch
+    ):
+        # An exact zero pivot inside the enumeration raises numpy's own error.
+        from lcco_ipm import cli
+
+        def singular(problem):
+            raise np.linalg.LinAlgError("Singular matrix")
+
+        monkeypatch.setattr(cli, "reference_solve_lp", singular)
+        code = main(["solve", str(instance_path), "--check"])
+        out = capsys.readouterr().out
+        assert code == 0
+        assert "status: converged" in out
+        assert out.endswith("reference: no certificate (Singular matrix)\n")
+
     def test_check_skips_reference_on_failed_runs(self, instance_path, capsys):
         code = main(
             ["solve", str(instance_path), "--max-iter", "1", "--check"]

@@ -10,6 +10,7 @@ import warnings
 
 import numpy as np
 import pytest
+from scipy.linalg import solve_triangular
 
 from lcco_ipm import (
     SINGULAR_CONDITION,
@@ -24,6 +25,7 @@ from lcco_ipm import (
     newton_step,
     p_vector,
 )
+from lcco_ipm import newton
 
 
 def hand_problem():
@@ -112,6 +114,19 @@ class TestHandInstance:
 
 
 class TestFactorization:
+    @pytest.mark.parametrize("n, m", [(2, 1), (4, 2), (10, 5), (12, 1), (50, 25), (50, 49)])
+    def test_pseudo_inverse_has_the_bits_of_a_lapack_triangular_solve(self, n, m):
+        # `_null_space` solves R X = Y' by BLAS trsm, which OpenBLAS does not
+        # thread at these sizes; LAPACK trtrs, behind solve_triangular, is
+        # the reference its bits must equal.
+        for seed in (1, 2, 3):
+            p = generate_instance(n, m, "quadratic", seed)
+            A, hessian = p.A[np.newaxis], p.objective.Q[np.newaxis]
+            _, projector, _, _ = newton._null_space(A, hessian)
+            q, r = np.linalg.qr(A.transpose(0, 2, 1), mode="complete")
+            want = solve_triangular(r[0, :m], q[0, :, :m].T)
+            assert projector[0, n - m:].tobytes() == want.tobytes()
+
     def test_factors_reproduce_the_assembled_matrix(self):
         p = generate_instance(8, 4, "quadratic", 21)
         state = IterateState.from_point(p.start.x0, p.start.y0, p.start.z0, 1.0)

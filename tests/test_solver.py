@@ -14,7 +14,9 @@ from lcco_ipm import (
     Problem,
     SolverConfig,
     StartPoint,
+    Trace,
     TraceRecord,
+    assemble_and_factor,
     default_theta,
     gamma_threshold,
     generate_instance,
@@ -191,9 +193,10 @@ class TestConvergedRuns:
         assert a.gap_final == b.gap_final
         assert trace_to_csv(a.trace) == trace_to_csv(b.trace)
 
-    def test_evaluates_the_objective_once_per_iterate(self, monkeypatch):
-        # validate_start, the start, then one evaluation per new iterate
-        # serves both its trace row and the next step's Hessian.
+    def test_evaluates_the_objective_only_at_the_start(self, monkeypatch):
+        # validate_start, then the start for the constant Hessian; each new
+        # iterate's gradient is c + Q x over the batch, whose bits the
+        # replay below checks against ObjectiveSpec.evaluate.
         p = generate_instance(6, 3, "quadratic", 5)
         evaluate = ObjectiveSpec.evaluate
         calls = []
@@ -205,7 +208,8 @@ class TestConvergedRuns:
         monkeypatch.setattr(ObjectiveSpec, "evaluate", counting)
         result = solve(p, SolverConfig(epsilon=1e-6, r=1))
         assert result.status == "converged"
-        assert len(calls) == result.iterations + 2
+        assert result.iterations > 0
+        assert len(calls) == 2
 
     def test_evaluates_the_kernel_three_times_per_step(self, monkeypatch):
         # The step and its scaled directions share one p(before.w); the
@@ -385,23 +389,27 @@ class TestSolveMany:
         for p, got in zip(problems, results):
             assert_same_result(got, solve(p, cfg))
 
-    def test_records_stream_to_on_record_instead_of_the_trace(self):
+    def test_blocks_stream_to_on_block_instead_of_the_trace(self):
         centered = generate_instance(6, 3, "quadratic", 21)
         off_center = shifted(generate_instance(6, 3, "linear", 22), 0.05)
         problems = [centered, off_center]
         cfg = SolverConfig(epsilon=1e-6)
         received = []
         results = solve_many(
-            problems, cfg, on_record=lambda i, record: received.append((i, record))
+            problems, cfg, on_block=lambda i, block: received.append((i, block))
         )
         for i, (p, got) in enumerate(zip(problems, results)):
             want = solve(p, cfg)
-            assert [record for j, record in received if j == i] == list(want.trace)
+            blocks = [block for j, block in received if j == i]
+            assert all(isinstance(block, Trace) and len(block) for block in blocks)
+            assert [record for block in blocks for record in block] == list(want.trace)
+            assert Trace.concat(blocks) == want.trace
             assert_same_result(got, dataclasses.replace(want, trace=()))
         assert results[0].iterations != results[1].iterations
-        # Members step in lockstep, so each step's records arrive in member order.
-        steps = [record.iteration for _, record in received]
-        assert steps == sorted(steps)
+        # Members step in lockstep, so the blocks of one flush arrive in
+        # member order and each starts where the member's last one ended.
+        starts = [block.iteration[0] for _, block in received]
+        assert starts == sorted(starts)
 
     def test_mixed_shapes_raise(self):
         mixed = [generate_instance(6, 3, "linear", 1), generate_instance(6, 2, "linear", 1)]
@@ -410,6 +418,115 @@ class TestSolveMany:
 
     def test_empty_batch_returns_no_results(self):
         assert solve_many([]) == []
+
+
+class TestTraceColumns:
+    def test_columns_are_read_only_arrays_of_the_record_fields(self):
+        p = generate_instance(6, 3, "quadratic", 5)
+        trace = solve(p, SolverConfig(epsilon=1e-6, max_iterations=30)).trace
+        assert isinstance(trace, Trace)
+        assert trace.iteration.tolist() == list(range(1, 31))
+        for name in ("mu", "gap", "gamma", "min_w", "dxTdz", "dual_res", "scaled_primal"):
+            assert getattr(trace, name).tolist() == [getattr(rec, name) for rec in trace]
+        assert trace.gamma_before.tolist() == [rec.monitors.gamma_before for rec in trace]
+        assert trace.worst_margin.tolist() == [rec.monitors.worst_margin for rec in trace]
+        with pytest.raises(ValueError):
+            trace.gamma[0] = 0.0
+        with pytest.raises(AttributeError):
+            trace.monitors
+
+    def test_equals_any_sequence_of_equal_records(self):
+        p = generate_instance(4, 2, "linear", 7)
+        trace = solve(p, SolverConfig(epsilon=1e-6, max_iterations=12)).trace
+        records = list(trace)
+        assert trace == records and trace == tuple(records) and records == trace
+        assert trace != records[:-1]
+        assert trace != records[::-1]
+        assert trace != 12
+        assert trace[-1] == records[-1]
+        assert trace[3:7] == records[3:7]
+        assert isinstance(trace[3:7], Trace)
+        assert Trace.concat([trace[:5], trace[5:]]) == trace
+        assert Trace.concat([]) == () == Trace.concat([])
+        assert len(Trace.concat([])) == 0
+
+    def test_condition_and_residual_columns_match_the_public_step_api(self):
+        # A replay of the loop: each step's condition estimate and residual
+        # are those assemble_and_factor and newton_step report at its iterate.
+        p = generate_instance(6, 3, "quadratic", 41)
+        cfg = SolverConfig(epsilon=1e-6, r=2, max_iterations=25)
+        trace = solve(p, cfg).trace
+        theta = cfg.resolved_theta(p.n)
+        x, y, z = p.start.x0, p.start.y0, p.start.z0
+        mu = float(x @ z) / p.n
+        conditions, residuals = [], []
+        for _ in range(25):
+            mu *= 1.0 - theta
+            before = IterateState.from_point(x, y, z, mu)
+            conditions.append(assemble_and_factor(p, before).condition_estimate)
+            step = newton_step(p, before, cfg.r)
+            residuals.append(step.residual)
+            x, y, z = x + step.dx_full, y + step.dy_full, z + step.dz_full
+        assert trace.condition.tolist() == conditions
+        assert trace.step_residual.tolist() == residuals
+        assert min(conditions) >= 1.0
+
+
+def staggered_batch():
+    """Four same-shape problems that stop at four well-spaced steps.
+
+    Scaling b, c and the start by s keeps the start centred at mu0 = s^2,
+    and each factor of 10 in s adds some 80 steps at n = 6.
+    """
+    problems = []
+    for k, (kind, scale) in enumerate([("quadratic", 1.0), ("linear", 10.0),
+                                       ("quadratic", 100.0), ("linear", 1000.0)]):
+        p = generate_instance(6, 3, kind, 21 + k)
+        f, start = p.objective, p.start
+        problems.append(Problem(
+            A=p.A, b=scale * p.b, objective=ObjectiveSpec(kind, c=scale * f.c, Q=f.Q),
+            start=StartPoint(scale * start.x0, scale * start.y0, scale * start.z0),
+        ))
+    return problems
+
+
+class TestBlocks:
+    def counted_grader(self, monkeypatch):
+        grade = solver_module._grade
+        calls = []
+
+        def counting(*args):
+            calls.append(args[0].shape)
+            return grade(*args)
+
+        monkeypatch.setattr(solver_module, "_grade", counting)
+        return calls
+
+    @pytest.mark.parametrize("block", [16, 256])
+    def test_grader_runs_once_per_block_or_membership_change(self, monkeypatch, block):
+        monkeypatch.setattr(solver_module, "_BLOCK", block)
+        calls = self.counted_grader(monkeypatch)
+        results = solve_many(staggered_batch(), SolverConfig(epsilon=1e-6))
+        iterations = [result.iterations for result in results]
+        assert len(set(iterations)) == 4
+        assert len(calls) <= math.ceil(max(iterations) / block) + len(set(iterations))
+        assert len(calls) < max(iterations) < sum(iterations)
+        assert sum(rows for rows, _ in calls) == max(iterations)
+
+    def test_block_boundaries_change_no_bit(self, monkeypatch):
+        cfg = SolverConfig(epsilon=1e-6)
+        whole = solve_many(staggered_batch(), cfg)
+        monkeypatch.setattr(solver_module, "_BLOCK", 7)
+        for got, want in zip(solve_many(staggered_batch(), cfg), whole):
+            assert_same_result(got, want)
+            assert np.array_equal(got.trace.condition, want.trace.condition)
+
+    def test_strict_monitors_grade_every_step(self, monkeypatch):
+        calls = self.counted_grader(monkeypatch)
+        result = solve(generate_instance(4, 2, "linear", 7),
+                       SolverConfig(epsilon=1e-6, strict_monitors=True, max_iterations=20))
+        assert result.iterations == 20
+        assert calls == [(1, 1)] * 20
 
 
 class TestRejectedRuns:
@@ -519,6 +636,35 @@ class TestFailureStatuses:
         assert result.monitor_violations > 0
 
 
+def old_trace_to_csv(trace):
+    """The per-field formatter trace_to_csv replaced, kept verbatim as its reference."""
+
+    def _g17(value):
+        return format(float(value), ".17g")
+
+    lines = [TRACE_HEADER]
+    for record in trace:
+        lines.append(
+            ",".join(
+                [
+                    str(record.iteration),
+                    _g17(record.mu),
+                    _g17(record.gap),
+                    _g17(record.gamma),
+                    _g17(record.min_w),
+                    _g17(record.norm_pw),
+                    _g17(record.norm_qw),
+                    _g17(record.dxTdz),
+                    _g17(record.primal_res),
+                    _g17(record.dual_res),
+                    # lemma2, lemma4, lemma5, eq111, eq112, eq115, as in the header
+                    *("1" if ok else "0" for ok in record.monitors.flags.values()),
+                ]
+            )
+        )
+    return "\n".join(lines) + "\n"
+
+
 class TestTraceExport:
     def test_header_and_shape(self):
         p = generate_instance(4, 2, "linear", 7)
@@ -558,3 +704,19 @@ class TestTraceExport:
 
     def test_empty_trace_is_just_the_header(self):
         assert trace_to_csv(()) == TRACE_HEADER + "\n"
+
+    def test_bytes_equal_the_per_field_formatter(self):
+        result = solve(nonconvex_problem(), SolverConfig(epsilon=1e-6, max_iterations=3))
+        solved = solve(generate_instance(6, 3, "quadratic", 5), SolverConfig(epsilon=1e-6))
+        odd = [-0.0, math.inf, -math.inf, math.nan, 5e-324, 2.2250738585072014e-308,
+               1e300, 0.1, -1.5e-17]
+        records = [
+            dataclasses.replace(
+                record, mu=odd[k % 9], gap=odd[(k + 1) % 9], gamma=odd[(k + 2) % 9],
+                min_w=odd[(k + 3) % 9], norm_pw=odd[(k + 4) % 9], norm_qw=odd[(k + 5) % 9],
+                dxTdz=odd[(k + 6) % 9], primal_res=odd[(k + 7) % 9], dual_res=odd[(k + 8) % 9],
+            )
+            for k, record in enumerate(list(solved.trace[:9]) + list(result.trace))
+        ]
+        for trace in (records, solved.trace, result.trace, ()):
+            assert trace_to_csv(trace) == old_trace_to_csv(trace)
