@@ -18,8 +18,9 @@ outcomes, the caller decides what to do with them.
 Public functions validate their input, then call the unchecked kernels
 that hold each formula once: `_scaling`, `_p`, `_dot`, `_norm`,
 `_directions`, `_monitor_terms` and `_grade`.  All take arrays with any
-leading axes, so the solver's loop calls them once per step on a stack
-of already-checked iterates, and `_grade` once per block of steps.
+leading axes, so the solver's loop calls `_scaling`, `_p` and `_dot`
+once per step on a stack of already-checked iterates, and all of them
+once per block of steps, on a stack with a leading step axis.
 """
 
 from __future__ import annotations
@@ -358,7 +359,8 @@ def monitor_step(
     r = _checked_power(r)
     if before.mu != after.mu:
         raise ValueError("monitors compare iterates at one fixed barrier value")
-    terms = _monitor_terms(before.w, after.w, dirs.pw, r)
+    w = np.array([before.w, after.w])
+    terms = _monitor_terms(w, _p(w, r), dirs.pw)
     norms = _norm(np.array([dirs.pw, dirs.qw]))
     column = np.array([*terms, *norms, dirs.dxTdz, after.gap(), before.mu])[:, np.newaxis]
     flags, *bounds = _grade(*column, before.n, r)
@@ -368,12 +370,14 @@ def monitor_step(
     )
 
 
-def _monitor_terms(w_before, w_after, pw, r: int):
+def _monitor_terms(w, p, pw):
     # The vector part of `monitor_step` over any leading axes: Gamma,
-    # Gamma+, min after.w and the eq115 slack.  Both proximities are
-    # evaluated here, from the iterates, not from the step.
+    # Gamma+, min after.w and the eq115 slack, from w stacked as (before,
+    # after), its kernel p and the step's p_w.  Both proximities come from
+    # p at the iterates, not from the step.
+    w_before, w_after = w
     eq115 = (w_before**2 + w_before * pw - 1.0 + pw**2 / 4.0).min(axis=-1)
-    gamma_before, gamma_after = _proximity(np.array([w_before, w_after]), r)
+    gamma_before, gamma_after = 0.5 * _norm(p)
     return gamma_before, gamma_after, w_after.min(axis=-1), eq115
 
 

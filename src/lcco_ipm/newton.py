@@ -39,7 +39,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg.blas import dtrsm
 from scipy.linalg.lapack import dgecon, dgetrf, dgetrs
 
 from .centralpath import InteriorError, IterateState, _norm, p_vector
@@ -142,17 +141,20 @@ def _null_space(A: np.ndarray, hessian: np.ndarray):
     projector = np.zeros((count, k + m, n))
     projector[:, :k] = null.transpose(0, 2, 1)
     grade = np.full(count, math.inf)
-    for b in range(count if m <= n else 0):
-        R = r[b, :m]
-        if not np.isfinite(R).all():
-            grade[b] = math.nan
-        elif np.diagonal(R).all():
-            singular_values = np.linalg.svd(R, compute_uv=False)
+    if m <= n:
+        R = r[:, :m]
+        finite = np.isfinite(R).all(axis=(1, 2))
+        full = finite & np.diagonal(R, axis1=1, axis2=2).all(axis=1)
+        grade[~finite] = math.nan
+        for b in np.flatnonzero(full):
+            singular_values = np.linalg.svd(R[b], compute_uv=False)
             with np.errstate(divide="ignore", over="ignore"):
                 grade[b] = (singular_values[0] / singular_values[-1]) ** 2
-            # R^-1 Y' by BLAS trsm, the bits LAPACK trtrs gives; OpenBLAS
-            # threads every multi-column trtrs, at milliseconds per call.
-            projector[b, k:] = dtrsm(1.0, R, q[b, :, :m].T)
+        # R^-1 Y' by one LAPACK gesv over the members: with R triangular its
+        # LU is R itself, so the bits are those of a triangular solve, and
+        # the call does not stall the way scipy's threaded trsm does.
+        if full.any():
+            projector[full, k:] = np.linalg.solve(R[full], q[full, :, :m].transpose(0, 2, 1))
     reduced = projector[:, :k] @ product
     return np.concatenate([null, product], axis=1), projector, reduced, grade
 

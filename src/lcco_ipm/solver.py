@@ -20,7 +20,7 @@ from __future__ import annotations
 import math
 import operator
 from collections.abc import Sequence
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Union
 
 import numpy as np
@@ -191,18 +191,21 @@ _COLUMNS = (
     "eq115_slack", "condition", "step_residual",
 )
 _ROW = {name: row for row, name in enumerate(_COLUMNS)}
+# The rows of its flags: those of MonitorReport, in field order.
+_FLAG_ROW = {field.name: row for row, field in enumerate(fields(MonitorReport)[:6])}
 
 
 def _rows(*names) -> list[int]:
     return [_ROW[name] for name in names]
 
 
-# What the loop writes each step, in the order it computes them; the
-# scaled_primal row holds ||A dx|| until the block is graded.
-_STEP = _rows(
+# What each step writes: its barrier value, gap, ||A dx|| (scaled_primal
+# holds it until the block is graded), step residual and condition estimate.
+_STEP = _rows("mu", "gap", "scaled_primal", "step_residual", "condition")
+# What `flush` evaluates from the block's iterates and steps, in that order.
+_FLUSHED = _rows(
     "gamma_before", "gamma", "min_w", "eq115_slack",
-    "norm_pw", "norm_qw", "dual_res", "grad_norm", "kernel_defect",
-    "dxTdz", "gap", "mu", "primal_res", "scaled_primal", "step_residual", "condition",
+    "norm_pw", "norm_qw", "dual_res", "grad_norm", "kernel_defect", "dxTdz", "primal_res",
 )
 # The `_grade` arguments, and the three floats it returns with the flags.
 _GRADED = _rows(
@@ -223,13 +226,14 @@ class Trace(Sequence):
 
     A record is built only when it is read, and a trace equals any
     sequence of equal records, so `trace == ()` holds for an empty one.
-    A slice is a Trace.  `iteration` and the float columns read as
+    A slice is a Trace.  `iteration` and the other columns read as
     read-only arrays: `trace.gamma`, and likewise every float field of
-    TraceRecord (mu, gap, ..., scaled_primal), the floats of its monitor
-    report (gamma_before, contraction_bound, gap_bound, worst_margin), and
-    three columns no record carries: eq115_slack, the smallest eq115
-    slack; condition, the condition estimate of the step system; and
-    step_residual, the worst relative residual of the step equations.
+    TraceRecord (mu, gap, ..., scaled_primal), the fields of its monitor
+    report (gamma_before, contraction_bound, gap_bound, worst_margin, and
+    the flags lemma2_ok, ..., eq112_ok as bools), and three columns no
+    record carries: eq115_slack, the smallest eq115 slack; condition, the
+    condition estimate of the step system; and step_residual, the worst
+    relative residual of the step equations.
     """
 
     __slots__ = ("iteration", "_values", "_flags")
@@ -255,6 +259,8 @@ class Trace(Sequence):
     def __getattr__(self, name):
         if name in _ROW:
             return self._values[_ROW[name]]
+        if name in _FLAG_ROW:
+            return self._flags[_FLAG_ROW[name]]
         raise AttributeError(f"'Trace' object has no attribute {name!r}")
 
     def __len__(self) -> int:
@@ -308,8 +314,10 @@ class SolveResult:
     monitor_violations: int
 
 
-# Steps recorded in one block before the monitors grade it.
-_BLOCK = 128
+# Steps recorded in one block before it is evaluated and graded.  A flush
+# holds some sixteen (depth, B, n) arrays at once, so a deeper block adds
+# resident memory at large B n and saves little more dispatch.
+_BLOCK = 32
 
 
 def solve(p: Problem, cfg: SolverConfig = SolverConfig()) -> SolveResult:
@@ -335,8 +343,13 @@ def solve_many(
     and leaves the batch when it stops, so every result equals its solo
     `solve` bit for bit.  Problems of mixed shape raise ValueError.
 
-    Each step writes its quantities into a block of columns, and the
-    monitors grade the block at once: when it is full, when a member
+    A step does only what decides the next one: the scaling, the kernel,
+    the factorization and solve with its residual gate, the interior
+    test, the update and the gap.  It stores its iterate, step and
+    scalars in a block, and the rest is evaluated for the whole block at
+    once, with the same kernels over a leading step axis: the scaled
+    directions, the feasibility residuals, the monitor terms and norms,
+    and the grading.  That happens when the block is full, when a member
     leaves and when the batch ends, and after every step under
     strict_monitors, so that a breach stops the run at its own step.
     With on_block, each member's part of a graded block goes to
@@ -393,7 +406,7 @@ def solve_many(
     # The gradient is c + Q x, as ObjectiveSpec.evaluate has it, with Q = 0
     # for a linear objective; a batch of linear ones skips the product.
     linear = np.array([problems[i].objective.kind == "linear" for i in ids])
-    c = gradient = np.array([problems[i].objective.c for i in ids])
+    c = np.array([problems[i].objective.c for i in ids])
     curved = not linear.all()
     Q = hessian
     Q[linear] = 0.0
@@ -409,21 +422,48 @@ def solve_many(
     rows = 0  # steps written to the block and not yet graded
 
     def flush():
-        # Grade the block, pass each member its part, and return each
-        # member's count of false flags.
+        # Evaluate and grade the block, pass each member its part, and
+        # return each member's count of false flags.  Matrix-vector
+        # products broadcast A over the step axis, which keeps each
+        # product a gemv with the bits of the one-step form.
         nonlocal rows
         if not rows:
             return []
-        block = blocks[:rows]
-        block[:, _ROW["scaled_primal"]] /= block[:, _ROW["mu"]]
-        flags, *graded = _grade(*(block[:, j] for j in _GRADED), n, r)
-        for j, values in zip(_BOUNDS, graded):
-            block[:, j] = values
+        values = block[:, :rows]
+        x, z = xs[:, :rows], zs[:, :rows]
+        dx, dz, y = dxs[:rows], dzs[:rows], ys[:rows]
+        np.add(x[0], dx, out=x[1])
+        np.add(z[0], dz, out=z[1])
+        w = _scaling(x, z, values[_ROW["mu"], :, :, np.newaxis])
+        p = _p(w, r)
+        terms = _monitor_terms(w, p, p[0])
+        dx_s, dz_s, qw, dxTdz = _directions(w[0], x[0], z[0], dx, dz)
+        if curved:
+            gradient = c + np.matmul(Q, x[1, ..., np.newaxis])[..., 0]
+        else:
+            gradient = np.broadcast_to(c, dx.shape)
+        dual = np.matmul(A.transpose(0, 2, 1), y[..., np.newaxis])[..., 0] + z[1] - gradient
+        evaluated = (
+            *terms,
+            _norm(p[0]),
+            _norm(qw),
+            _norm(dual),
+            _norm(gradient),
+            _norm(dx_s + dz_s - p[0]),
+            dxTdz,
+            _norm(np.matmul(A, x[1, ..., np.newaxis])[..., 0] - b),
+        )
+        for j, value in zip(_FLUSHED, evaluated):
+            values[j] = value
+        values[_ROW["scaled_primal"]] /= values[_ROW["mu"]]
+        flags, *graded = _grade(*(values[j] for j in _GRADED), n, r)
+        for j, value in zip(_BOUNDS, graded):
+            values[j] = value
         failed = np.count_nonzero(~flags, axis=(0, 1)).tolist()
         iteration = np.arange(steps - rows + 1, steps + 1)
         for k, i in enumerate(ids):
             violations[i] += failed[k]
-            on_block(i, Trace(iteration, block[:, :, k].T, flags[:, :, k]))
+            on_block(i, Trace(iteration, values[:, :, k], flags[:, :, k]))
         rows = 0
         return failed
 
@@ -460,15 +500,17 @@ def solve_many(
                 mu, gap, limit, x, y, z, A, b, c, Q, *space = (
                     a[keep] for a in (mu, gap, limit, x, y, z, A, b, c, Q, *space)
                 )
-                gradient = c
             settle, stop = False, limit.min()
+            # Each step's x and z before and after it, its dx and dz, and its new y.
+            xs, zs = np.empty((2, 2, depth, *x.shape))
+            dxs, dzs = np.empty((2, depth, *x.shape))
+            ys = np.empty((depth, *y.shape))
         shrunk = mu * shrink
         column = shrunk[:, np.newaxis]
         w = _scaling(x, z, column)
-        pw = _p(w, r)
         scale, factors = _factor(*space, x, z)
         dx, dy, dz, a_dx, residual = _newton_step(
-            A, *space[:2], x, z, column * w * pw, scale, factors
+            A, *space[:2], x, z, column * w * _p(w, r), scale, factors
         )
         x_next, z_next = x + dx, z + dz
         if not (max(residual) <= RESIDUAL_LIMIT and x_next.min() > 0.0 and z_next.min() > 0.0):
@@ -479,24 +521,16 @@ def solve_many(
                 finish(k, "numerical_failure", shrunk[k])
             settle = True
             continue
-        dx_s, dz_s, qw, dxTdz = _directions(w, x, z, dx, dz)
-        mu, steps = shrunk, steps + 1
-        x, y, z = x_next, y + dy, z_next
-        gap = _dot(x, z)
-        if curved:
-            gradient = c + (Q @ x[:, :, np.newaxis])[:, :, 0]
-        primal = _norm((A @ x[:, :, np.newaxis])[:, :, 0] - b)
-        dual = (A.transpose(0, 2, 1) @ y[:, :, np.newaxis])[:, :, 0] + z - gradient
-        values = (
-            *_monitor_terms(w, _scaling(x, z, column), pw, r),
-            *_norm(np.array([pw, qw, dual, gradient, dx_s + dz_s - pw])),
-            dxTdz, gap, mu, primal, a_dx, residual, [f[2] for f in factors],
-        )
         if not rows:  # a graded block belongs to its Trace parts
-            blocks = np.empty((depth, len(_COLUMNS), len(ids)))
-        row = blocks[rows]
-        for j, value in zip(_STEP, values):
-            row[j] = value
+            block = np.empty((len(_COLUMNS), depth, len(ids)))
+        y = y + dy
+        for stack, value in zip((xs[0], zs[0], dxs, dzs, ys), (x, z, dx, dz, y)):
+            stack[rows] = value
+        mu, steps = shrunk, steps + 1
+        x, z = x_next, z_next
+        gap = _dot(x, z)
+        for j, value in zip(_STEP, (mu, gap, a_dx, residual, [f[2] for f in factors])):
+            block[j, rows] = value
         rows += 1
         settle = steps >= stop or not gap.min() > cfg.epsilon
         if rows == depth:

@@ -77,10 +77,11 @@ def test_criterion_02_quadratic_proximity_contraction(grid, acceptance_report):
     evaluated = 0
     for (_, _, _, r), (_, _, result) in grid.items():
         limit = contraction_coefficient(r)
-        for rec in result.trace:
-            m = rec.monitors
-            evaluated += 1
-            worst = max(worst, m.gamma_after - limit * m.gamma_before**2)
+        trace = result.trace
+        evaluated += len(trace)
+        # float_power is libm pow, the bits of Python's ** on one record.
+        excess = trace.gamma - limit * np.float_power(trace.gamma_before, 2.0)
+        worst = max(worst, float(excess.max(initial=-math.inf)))
     acceptance_report(
         2,
         worst <= 1e-9,
@@ -93,8 +94,8 @@ def test_criterion_03_gap_stays_under_the_barrier_ceiling(grid, acceptance_repor
     worst = -math.inf
     for (n, _, _, r), (_, _, result) in grid.items():
         ceiling = n + (r - 1) ** 2 * math.exp(-2.0 * r)
-        for rec in result.trace:
-            worst = max(worst, rec.gap - rec.mu * ceiling)
+        excess = result.trace.gap - result.trace.mu * ceiling
+        worst = max(worst, float(excess.max(initial=-math.inf)))
     acceptance_report(
         3,
         worst <= 1e-9,
@@ -108,10 +109,10 @@ def test_criterion_04_proximity_stays_under_the_threshold(grid, acceptance_repor
     ok = True
     for (_, _, _, r), (_, _, result) in grid.items():
         threshold = math.exp(-r)
-        for rec in result.trace:
-            worst = max(worst, rec.gamma - threshold)
-            if not rec.gamma < threshold:
-                ok = False
+        gamma = result.trace.gamma
+        worst = max(worst, float((gamma - threshold).max(initial=-math.inf)))
+        if not (gamma < threshold).all():
+            ok = False
     acceptance_report(
         4,
         ok,
@@ -152,11 +153,12 @@ def test_criterion_06_scaled_directions_behave(grid, acceptance_report):
     max_defect = 0.0
     max_scaled_primal = 0.0
     for _, (_, _, result) in grid.items():
-        for rec in result.trace:
-            min_curvature = min(min_curvature, rec.dxTdz)
-            min_norm_gap = min(min_norm_gap, rec.norm_pw - rec.norm_qw)
-            max_defect = max(max_defect, rec.kernel_defect)
-            max_scaled_primal = max(max_scaled_primal, rec.scaled_primal)
+        trace = result.trace
+        min_curvature = min(min_curvature, float(trace.dxTdz.min(initial=math.inf)))
+        norm_gap = trace.norm_pw - trace.norm_qw
+        min_norm_gap = min(min_norm_gap, float(norm_gap.min(initial=math.inf)))
+        max_defect = max(max_defect, float(trace.kernel_defect.max(initial=0.0)))
+        max_scaled_primal = max(max_scaled_primal, float(trace.scaled_primal.max(initial=0.0)))
     ok = (
         min_curvature >= -1e-10
         and min_norm_gap >= -1e-10
@@ -173,11 +175,7 @@ def test_criterion_06_scaled_directions_behave(grid, acceptance_report):
 
 
 def test_criterion_07_kernel_inequalities_on_trajectories_and_grids(grid, acceptance_report):
-    trajectory_ok = all(
-        rec.monitors.eq115_ok
-        for _, (_, _, result) in grid.items()
-        for rec in result.trace
-    )
+    trajectory_ok = all(result.trace.eq115_ok.all() for _, (_, _, result) in grid.items())
     w = np.arange(10, 501) / 100.0
     w = w[np.abs(w - 1.0) >= 1e-9]
     grid_ok = True
@@ -203,10 +201,9 @@ def test_criterion_08_scaling_floor_after_each_step(grid, acceptance_report):
     count = 0
     ok = True
     for _, (_, _, result) in grid.items():
-        for rec in result.trace:
-            count += 1
-            if not rec.monitors.lemma2_ok:
-                ok = False
+        count += len(result.trace)
+        if not result.trace.lemma2_ok.all():
+            ok = False
     acceptance_report(
         8,
         ok,

@@ -116,16 +116,24 @@ class TestHandInstance:
 class TestFactorization:
     @pytest.mark.parametrize("n, m", [(2, 1), (4, 2), (10, 5), (12, 1), (50, 25), (50, 49)])
     def test_pseudo_inverse_has_the_bits_of_a_lapack_triangular_solve(self, n, m):
-        # `_null_space` solves R X = Y' by BLAS trsm, which OpenBLAS does not
-        # thread at these sizes; LAPACK trtrs, behind solve_triangular, is
-        # the reference its bits must equal.
-        for seed in (1, 2, 3):
-            p = generate_instance(n, m, "quadratic", seed)
-            A, hessian = p.A[np.newaxis], p.objective.Q[np.newaxis]
-            _, projector, _, _ = newton._null_space(A, hessian)
-            q, r = np.linalg.qr(A.transpose(0, 2, 1), mode="complete")
-            want = solve_triangular(r[0, :m], q[0, :, :m].T)
-            assert projector[0, n - m:].tobytes() == want.tobytes()
+        # `_null_space` solves R X = Y' for all members by one LAPACK gesv,
+        # whose LU of a triangular R is R itself; scipy's trsm and trtrs are
+        # threaded by OpenBLAS at these sizes and stall for milliseconds.
+        # LAPACK trtrs, behind solve_triangular, is the reference its bits
+        # must equal.  A member with a zero row, dependent, sits in the
+        # stack; it gets no pseudo-inverse and is graded singular.
+        problems = [generate_instance(n, m, "quadratic", seed) for seed in (1, 2, 3)]
+        dependent = problems[0].A.copy()
+        dependent[0] = 0.0
+        A = np.array([problems[0].A, dependent, problems[1].A, problems[2].A])
+        hessian = np.array([p.objective.Q for p in (problems[0], *problems)])
+        _, projector, _, grade = newton._null_space(A, hessian)
+        q, r = np.linalg.qr(A.transpose(0, 2, 1), mode="complete")
+        for b in (0, 2, 3):
+            want = solve_triangular(r[b, :m], q[b, :, :m].T)
+            assert projector[b, n - m:].tobytes() == want.tobytes()
+        assert grade[1] == math.inf
+        assert not projector[1, n - m:].any()
 
     def test_factors_reproduce_the_assembled_matrix(self):
         p = generate_instance(8, 4, "quadratic", 21)

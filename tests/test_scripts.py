@@ -9,6 +9,7 @@ from pathlib import Path
 import pytest
 
 from lcco_ipm import SolverConfig, generate_instance, solve, trace_to_csv
+from lcco_ipm import solver as solver_module
 
 SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
 
@@ -42,10 +43,14 @@ def test_trace_digest_is_reproducible(capsys):
     assert re.fullmatch(r"runs 2, steps \d+, sha256 [0-9a-f]{64}\n", digests[0])
 
 
-def test_trace_digest_equals_one_built_from_whole_solo_traces(capsys):
-    # Records streamed into per-run digests hash as the whole trace does.
+@pytest.mark.parametrize("block", [1, 7])
+def test_trace_digest_equals_one_built_from_whole_solo_traces(block, monkeypatch, capsys):
+    # Records streamed into per-run digests, in blocks of any depth, hash
+    # as the whole trace of a solo run at the default depth does.
     script = load("trace_digest")
+    monkeypatch.setattr(solver_module, "_BLOCK", block)
     assert script.main(["--n", "4", "--seeds", "1", "2", "--r", "1", "2"]) == 0
+    monkeypatch.undo()
     digest = hashlib.sha256()
     for r in (1, 2):
         for kind, seed in itertools.product(("linear", "quadratic"), (1, 2)):

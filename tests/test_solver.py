@@ -450,6 +450,21 @@ class TestTraceColumns:
         assert Trace.concat([]) == () == Trace.concat([])
         assert len(Trace.concat([])) == 0
 
+    def test_flag_columns_are_read_only_arrays_of_the_record_flags(self):
+        cfg = SolverConfig(epsilon=1e-6, max_iterations=30)
+        traces = [solve(p, cfg).trace
+                  for p in (nonconvex_problem(), generate_instance(6, 3, "quadratic", 5))]
+        assert not traces[0].eq111_ok.all()  # the nonconvex start breaks eq111
+        names = [field.name for field in dataclasses.fields(centralpath.MonitorReport)[:6]]
+        assert all(name.endswith("_ok") for name in names)
+        for trace in traces:
+            for name in names:
+                column = getattr(trace, name)
+                assert column.dtype == bool
+                assert column.tolist() == [getattr(rec.monitors, name) for rec in trace]
+                with pytest.raises(ValueError):
+                    column[0] = True
+
     def test_condition_and_residual_columns_match_the_public_step_api(self):
         # A replay of the loop: each step's condition estimate and residual
         # are those assemble_and_factor and newton_step report at its iterate.
@@ -491,27 +506,36 @@ def staggered_batch():
 
 
 class TestBlocks:
-    def counted_grader(self, monkeypatch):
-        grade = solver_module._grade
+    def counted(self, monkeypatch, name):
+        # The shapes of the first argument of each call the loop makes to
+        # the kernel `name`.
+        kernel = getattr(solver_module, name)
         calls = []
 
         def counting(*args):
-            calls.append(args[0].shape)
-            return grade(*args)
+            calls.append(np.shape(args[0]))
+            return kernel(*args)
 
-        monkeypatch.setattr(solver_module, "_grade", counting)
+        monkeypatch.setattr(solver_module, name, counting)
         return calls
 
     @pytest.mark.parametrize("block", [16, 256])
     def test_grader_runs_once_per_block_or_membership_change(self, monkeypatch, block):
+        # The scaled directions and the monitor terms are evaluated with
+        # the grading, once per block over all of its steps, not per step.
         monkeypatch.setattr(solver_module, "_BLOCK", block)
-        calls = self.counted_grader(monkeypatch)
+        calls = self.counted(monkeypatch, "_grade")
+        directions = self.counted(monkeypatch, "_directions")
+        terms = self.counted(monkeypatch, "_monitor_terms")
         results = solve_many(staggered_batch(), SolverConfig(epsilon=1e-6))
         iterations = [result.iterations for result in results]
         assert len(set(iterations)) == 4
         assert len(calls) <= math.ceil(max(iterations) / block) + len(set(iterations))
         assert len(calls) < max(iterations) < sum(iterations)
         assert sum(rows for rows, _ in calls) == max(iterations)
+        steps = [rows for rows, _ in calls]
+        assert [shape[0] for shape in directions] == steps
+        assert [shape[:2] for shape in terms] == [(2, rows) for rows in steps]
 
     def test_block_boundaries_change_no_bit(self, monkeypatch):
         cfg = SolverConfig(epsilon=1e-6)
@@ -522,11 +546,15 @@ class TestBlocks:
             assert np.array_equal(got.trace.condition, want.trace.condition)
 
     def test_strict_monitors_grade_every_step(self, monkeypatch):
-        calls = self.counted_grader(monkeypatch)
+        calls = self.counted(monkeypatch, "_grade")
+        directions = self.counted(monkeypatch, "_directions")
+        terms = self.counted(monkeypatch, "_monitor_terms")
         result = solve(generate_instance(4, 2, "linear", 7),
                        SolverConfig(epsilon=1e-6, strict_monitors=True, max_iterations=20))
         assert result.iterations == 20
         assert calls == [(1, 1)] * 20
+        assert directions == [(1, 1, 4)] * 20
+        assert terms == [(2, 1, 1, 4)] * 20
 
 
 class TestRejectedRuns:
