@@ -9,6 +9,7 @@ inputs and flags.
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 from dataclasses import dataclass
 from pathlib import Path
@@ -202,7 +203,7 @@ def _print_summary(path: str, problem, cfg: SolverConfig, result: SolveResult) -
         f"status: {result.status} after {result.iterations} iterations "
         f"(theoretical bound {result.bound}, cap {cfg.resolved_max_iterations(result.bound)})"
     )
-    relative = f", {result.gap_final / mu0:.12g} of mu0" if mu0 > 0.0 else ""
+    relative = f", {result.gap_final / mu0:.12g} of mu0" if 0.0 < mu0 < math.inf else ""
     print(
         f"gap: {result.gap_final:.12g} absolute{relative}; "
         f"final mu {result.mu_final:.12g}"

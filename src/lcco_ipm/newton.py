@@ -85,35 +85,19 @@ class NewtonStep:
 class KktFactorization:
     """Factored step system K = [[M, A'], [A, 0]] with M = H + diag(z/x).
 
-    `matrix` is K as assembled.  With A' = [Y N] [R; 0], `basis` is
-    [N; HN], `projector` is [N'; (A')^+] with (A')^+ = R^-1 Y', `weights`
-    is z/x, and `scale`, `lu` and `pivots` are the symmetric equilibration
-    and LAPACK getrf factors of G = N'MN.  `condition_estimate` is the
-    larger of cond(A)^2 and the gecon estimate of the equilibrated G.
+    With A' = [Y N] [R; 0], `basis` is [N; HN], `projector` is
+    [N'; (A')^+] with (A')^+ = R^-1 Y', and `scale`, `lu` and `pivots` are
+    the symmetric equilibration and LAPACK getrf factors of G = N'MN.
+    `condition_estimate` is the larger of cond(A)^2 and the gecon
+    estimate of the equilibrated G.
     """
 
-    matrix: np.ndarray
     basis: np.ndarray
     projector: np.ndarray
-    weights: np.ndarray
     scale: np.ndarray
     lu: np.ndarray
     pivots: np.ndarray
     condition_estimate: float
-
-    def solve(self, rhs: np.ndarray) -> np.ndarray:
-        """Solve matrix @ out = rhs, bottom block included; rhs is a vector or columns."""
-        rhs = np.asarray(rhs, dtype=float)
-        n, k = self.weights.shape[0], self.basis.shape[1]
-        columns = rhs.reshape(rhs.shape[0], -1)
-        # (A')^+' is a right inverse of A; the null-space solve takes the rest.
-        particular = self.projector[k:].T @ columns[n:]
-        top = columns[:n] - self.matrix[:n, :n] @ particular
-        dx, _, u = _reduced_solve(
-            self.basis[np.newaxis], self.projector[np.newaxis], [(self.lu, self.pivots)],
-            self.scale[np.newaxis], self.weights[np.newaxis], top[np.newaxis],
-        )
-        return np.concatenate([particular + dx[0], u[0]]).reshape(rhs.shape)
 
 
 def newton_rhs(state: IterateState, r: int) -> np.ndarray:
@@ -215,15 +199,11 @@ def assemble_and_factor(p: Problem, state: IterateState) -> KktFactorization:
     if isinstance(factor, NumericalError):
         raise factor
     lu, pivots, estimate = factor
-    weights = state.z / state.x
-    matrix = np.block([[hessian + np.diag(weights), p.A.T], [p.A, np.zeros((p.m, p.m))]])
-    for arr in (matrix, basis, projector, weights, scale, lu, pivots):
+    for arr in (basis, projector, scale, lu, pivots):
         arr.setflags(write=False)
     return KktFactorization(
-        matrix=matrix,
         basis=basis[0],
         projector=projector[0],
-        weights=weights,
         scale=scale[0],
         lu=lu,
         pivots=pivots,

@@ -243,8 +243,9 @@ class FeasibilityReport:
     `admissible` is true iff the start is strictly interior, both
     residuals are within 1e-8 (1 + norm of the matched right-hand side),
     and the proximity gamma0 at mu0 = x0'z0/n is below the admission
-    threshold.  gamma0 is reported as inf for non-interior starts, where
-    the scaling vector is undefined.
+    threshold.  gamma0 is reported as inf where the scaling vector is
+    undefined: for non-interior starts, and where mu0 is not finite and
+    positive (x0'z0 overflows or underflows).
     """
 
     primal_residual: float
@@ -273,10 +274,12 @@ def validate_start(p: Problem, s: StartPoint, r: int) -> FeasibilityReport:
     min_x = float(s.x0.min())
     min_z = float(s.z0.min())
     interior = min_x > 0.0 and min_z > 0.0
-    if interior:
-        mu0 = float(s.x0 @ s.z0) / n
+    mu0 = float(s.x0 @ s.z0) / n
+    if interior and math.isfinite(mu0) and mu0 > 0.0:
         gamma0 = proximity(s.x0, s.z0, mu0, r)
     else:
+        # No scaling vector: the start is not interior, or x0'z0 overflows
+        # or underflows.
         gamma0 = math.inf
     admissible = (
         interior

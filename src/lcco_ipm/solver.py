@@ -182,103 +182,78 @@ class TraceRecord:
     scaled_primal: float
 
 
-# The rows of a Trace: the TraceRecord floats in field order, the floats of
-# its MonitorReport (gamma_after is gamma), then what no record carries.
-_COLUMNS = (
-    "mu", "gap", "gamma", "min_w", "norm_pw", "norm_qw", "dxTdz", "primal_res",
-    "dual_res", "grad_norm", "kernel_defect", "scaled_primal",
-    "gamma_before", "contraction_bound", "gap_bound", "worst_margin",
-    "eq115_slack", "condition", "step_residual",
+# One row of a Trace: iteration and the floats of TraceRecord, then the
+# flags and floats of its MonitorReport (gamma_after is gamma), then three
+# values no record carries.  Every column, the step block and the CSV
+# export are fields of this dtype.  Each field has the type its dataclass
+# annotates, a string ("int", "float" or "bool") that numpy reads as a dtype.
+_TRACE_ROW = np.dtype(
+    [(f.name, f.type) for f in fields(TraceRecord) if f.name != "monitors"]
+    + [(f.name, f.type) for f in fields(MonitorReport) if f.name != "gamma_after"]
+    + [(name, "float") for name in ("eq115_slack", "condition", "step_residual")]
 )
-_ROW = {name: row for row, name in enumerate(_COLUMNS)}
-# The rows of its flags: those of MonitorReport, in field order.
-_FLAG_ROW = {field.name: row for row, field in enumerate(fields(MonitorReport)[:6])}
+_FLAGS = [name for name in _TRACE_ROW.names if _TRACE_ROW[name].kind == "b"]
 
 
-def _rows(*names) -> list[int]:
-    return [_ROW[name] for name in names]
+# Where `_record` finds each field of a record in a row: gamma_after is
+# gamma, and the monitor report is appended to the row.
+_AT = {name: k for k, name in enumerate(_TRACE_ROW.names)}
+_AT.update(gamma_after=_AT["gamma"], monitors=len(_AT))
+_REPORT_VALUES = operator.itemgetter(*(_AT[f.name] for f in fields(MonitorReport)))
+_RECORD_VALUES = operator.itemgetter(*(_AT[f.name] for f in fields(TraceRecord)))
 
 
-# What each step writes: its barrier value, gap, ||A dx|| (scaled_primal
-# holds it until the block is graded), step residual and condition estimate.
-_STEP = _rows("mu", "gap", "scaled_primal", "step_residual", "condition")
-# What `flush` evaluates from the block's iterates and steps, in that order.
-_FLUSHED = _rows(
-    "gamma_before", "gamma", "min_w", "eq115_slack",
-    "norm_pw", "norm_qw", "dual_res", "grad_norm", "kernel_defect", "dxTdz", "primal_res",
-)
-# The `_grade` arguments, and the three floats it returns with the flags.
-_GRADED = _rows(
-    "gamma_before", "gamma", "min_w", "eq115_slack", "norm_pw", "norm_qw", "dxTdz", "gap", "mu"
-)
-_BOUNDS = _rows("contraction_bound", "gap_bound", "worst_margin")
-
-
-def _record(iteration: int, v: list, flags: list) -> TraceRecord:
-    # One row of a Trace, from Python floats and bools.
-    return TraceRecord(
-        iteration, *v[:9], MonitorReport(*flags, v[12], v[2], *v[13:16]), *v[9:12]
-    )
+def _record(row: tuple) -> TraceRecord:
+    # One row of a Trace, from the Python values `tolist` gives.
+    return TraceRecord(*_RECORD_VALUES((*row, MonitorReport(*_REPORT_VALUES(row)))))
 
 
 class Trace(Sequence):
-    """A run's trace: a read-only sequence of TraceRecord, held as columns.
+    """A run's trace: a read-only sequence of TraceRecord, held as one row array.
 
     A record is built only when it is read, and a trace equals any
     sequence of equal records, so `trace == ()` holds for an empty one.
-    A slice is a Trace.  `iteration` and the other columns read as
-    read-only arrays: `trace.gamma`, and likewise every float field of
-    TraceRecord (mu, gap, ..., scaled_primal), the fields of its monitor
-    report (gamma_before, contraction_bound, gap_bound, worst_margin, and
-    the flags lemma2_ok, ..., eq112_ok as bools), and three columns no
-    record carries: eq115_slack, the smallest eq115 slack; condition, the
-    condition estimate of the step system; and step_residual, the worst
-    relative residual of the step equations.
+    A slice is a Trace.  Each field of the rows reads as a read-only
+    array: `trace.iteration`, `trace.gamma`, and likewise every float
+    field of TraceRecord (mu, gap, ..., scaled_primal), the fields of its
+    monitor report (the flags lemma2_ok, ..., eq112_ok as bools, then
+    gamma_before, contraction_bound, gap_bound and worst_margin), and
+    three fields no record carries: eq115_slack, the smallest eq115
+    slack; condition, the condition estimate of the step system; and
+    step_residual, the worst relative residual of the step equations.
     """
 
-    __slots__ = ("iteration", "_values", "_flags")
+    __slots__ = ("_rows",)
 
-    def __init__(self, iteration, values, flags):
-        # (T,) ints, (len(_COLUMNS), T) floats and (6, T) bools in
-        # MonitorReport's flag order.
-        for arr in (iteration, values, flags):
-            arr.setflags(write=False)
-        self.iteration, self._values, self._flags = iteration, values, flags
+    def __init__(self, rows: np.ndarray):
+        # (T,) rows of dtype _TRACE_ROW.
+        rows.setflags(write=False)
+        self._rows = rows
 
     @classmethod
     def concat(cls, parts) -> "Trace":
         """One trace of `parts` in order; the empty trace if there are none."""
-        parts = [cls(np.zeros(0, int), np.zeros((len(_COLUMNS), 0)), np.zeros((6, 0), bool)),
-                 *parts]
-        return cls(
-            np.concatenate([part.iteration for part in parts]),
-            np.concatenate([part._values for part in parts], axis=1),
-            np.concatenate([part._flags for part in parts], axis=1),
-        )
+        # Joined as opaque rows: numpy promotes a structured dtype field by
+        # field in Python, which took 13 times as long for 12 parts.
+        raw = np.dtype((np.void, _TRACE_ROW.itemsize))
+        rows = [np.empty(0, raw), *(part._rows.view(raw) for part in parts)]
+        return cls(np.concatenate(rows).view(_TRACE_ROW))
 
     def __getattr__(self, name):
-        if name in _ROW:
-            return self._values[_ROW[name]]
-        if name in _FLAG_ROW:
-            return self._flags[_FLAG_ROW[name]]
+        if name in _TRACE_ROW.names:
+            return self._rows[name]
         raise AttributeError(f"'Trace' object has no attribute {name!r}")
 
     def __len__(self) -> int:
-        return len(self.iteration)
+        return len(self._rows)
 
     def __getitem__(self, index):
         if isinstance(index, slice):
-            return Trace(self.iteration[index], self._values[:, index], self._flags[:, index])
-        return _record(
-            self.iteration[index].item(),
-            self._values[:, index].tolist(),
-            self._flags[:, index].tolist(),
-        )
+            return Trace(self._rows[index])
+        return _record(self._rows[index].item())
 
     def __iter__(self):
-        return map(
-            _record, self.iteration.tolist(), self._values.T.tolist(), self._flags.T.tolist()
-        )
+        return map(_record, self._rows.tolist())
 
     def __eq__(self, other):
         if not isinstance(other, Sequence):
@@ -429,41 +404,41 @@ def solve_many(
         nonlocal rows
         if not rows:
             return []
-        values = block[:, :rows]
+        written = block[:rows]
         x, z = xs[:, :rows], zs[:, :rows]
         dx, dz, y = dxs[:rows], dzs[:rows], ys[:rows]
         np.add(x[0], dx, out=x[1])
         np.add(z[0], dz, out=z[1])
-        w = _scaling(x, z, values[_ROW["mu"], :, :, np.newaxis])
+        w = _scaling(x, z, written["mu"][..., np.newaxis])
         p = _p(w, r)
-        terms = _monitor_terms(w, p, p[0])
-        dx_s, dz_s, qw, dxTdz = _directions(w[0], x[0], z[0], dx, dz)
+        written["gamma_before"], written["gamma"], written["min_w"], written["eq115_slack"] = (
+            _monitor_terms(w, p, p[0])
+        )
+        dx_s, dz_s, qw, written["dxTdz"] = _directions(w[0], x[0], z[0], dx, dz)
         if curved:
             gradient = c + np.matmul(Q, x[1, ..., np.newaxis])[..., 0]
         else:
             gradient = np.broadcast_to(c, dx.shape)
         dual = np.matmul(A.transpose(0, 2, 1), y[..., np.newaxis])[..., 0] + z[1] - gradient
-        evaluated = (
-            *terms,
-            _norm(p[0]),
-            _norm(qw),
-            _norm(dual),
-            _norm(gradient),
-            _norm(dx_s + dz_s - p[0]),
-            dxTdz,
-            _norm(np.matmul(A, x[1, ..., np.newaxis])[..., 0] - b),
+        written["norm_pw"] = _norm(p[0])
+        written["norm_qw"] = _norm(qw)
+        written["dual_res"] = _norm(dual)
+        written["grad_norm"] = _norm(gradient)
+        written["kernel_defect"] = _norm(dx_s + dz_s - p[0])
+        written["primal_res"] = _norm(np.matmul(A, x[1, ..., np.newaxis])[..., 0] - b)
+        written["scaled_primal"] /= written["mu"]
+        graded = ("gamma_before", "gamma", "min_w", "eq115_slack", "norm_pw", "norm_qw",
+                  "dxTdz", "gap", "mu")
+        flags, written["contraction_bound"], written["gap_bound"], written["worst_margin"] = (
+            _grade(*(written[name] for name in graded), n, r)
         )
-        for j, value in zip(_FLUSHED, evaluated):
-            values[j] = value
-        values[_ROW["scaled_primal"]] /= values[_ROW["mu"]]
-        flags, *graded = _grade(*(values[j] for j in _GRADED), n, r)
-        for j, value in zip(_BOUNDS, graded):
-            values[j] = value
+        for name, flag in zip(_FLAGS, flags):
+            written[name] = flag
+        written["iteration"] = np.arange(steps - rows + 1, steps + 1)[:, np.newaxis]
         failed = np.count_nonzero(~flags, axis=(0, 1)).tolist()
-        iteration = np.arange(steps - rows + 1, steps + 1)
         for k, i in enumerate(ids):
             violations[i] += failed[k]
-            on_block(i, Trace(iteration, values[:, :, k], flags[:, :, k]))
+            on_block(i, Trace(written[:, k]))
         rows = 0
         return failed
 
@@ -522,15 +497,17 @@ def solve_many(
             settle = True
             continue
         if not rows:  # a graded block belongs to its Trace parts
-            block = np.empty((len(_COLUMNS), depth, len(ids)))
+            block = np.empty((depth, len(ids)), _TRACE_ROW)
         y = y + dy
         for stack, value in zip((xs[0], zs[0], dxs, dzs, ys), (x, z, dx, dz, y)):
             stack[rows] = value
         mu, steps = shrunk, steps + 1
         x, z = x_next, z_next
         gap = _dot(x, z)
-        for j, value in zip(_STEP, (mu, gap, a_dx, residual, [f[2] for f in factors])):
-            block[j, rows] = value
+        # scaled_primal holds ||A dx|| until the block is graded.
+        step = block[rows]
+        step["mu"], step["gap"], step["scaled_primal"] = mu, gap, a_dx
+        step["step_residual"], step["condition"] = residual, [f[2] for f in factors]
         rows += 1
         settle = steps >= stop or not gap.min() > cfg.epsilon
         if rows == depth:
@@ -541,33 +518,23 @@ def solve_many(
                     settle = True
 
 
-# One trace CSV row: iteration, nine floats, then the six flags, which the
-# header orders lemma2, lemma4, lemma5, eq111, eq112, eq115.
-_CSV_ROW = "%d" + ",%.17g" * 9 + ",%d" * 6 + "\n"
-_CSV_FLAGS = [0, 1, 2, 4, 5, 3]  # rows of MonitorReport-ordered flags, in header order
+# The row fields in TRACE_HEADER order ("iter" is iteration, and a flag is
+# its MonitorReport field), and one CSV line of them: 17 significant
+# digits for a float, 1/0 for a flag.
+_CSV_FIELDS = ["iteration"] + [
+    name if name in _TRACE_ROW.names else name + "_ok" for name in TRACE_HEADER.split(",")[1:]
+]
+_CSV_ROW = ",".join(
+    "%.17g" if _TRACE_ROW[name].kind == "f" else "%d" for name in _CSV_FIELDS
+) + "\n"
 
 
-def trace_to_csv(trace) -> str:
-    """Render trace records in the fixed comma-separated export layout.
+def trace_to_csv(trace: Trace) -> str:
+    """Render a Trace in the fixed comma-separated export layout.
 
     One row per iteration under the TRACE_HEADER columns, numbers with 17
     significant digits, monitor flags as 1/0.  The output is a pure
     function of the records, so equal traces serialize byte-identically.
-    A Trace is formatted from its columns, without building records.
     """
-    if isinstance(trace, Trace):
-        rows = zip(
-            trace.iteration.tolist(),
-            *trace._values[:9].tolist(),
-            *trace._flags[_CSV_FLAGS].tolist(),
-        )
-    else:
-        rows = (
-            (
-                record.iteration, record.mu, record.gap, record.gamma, record.min_w,
-                record.norm_pw, record.norm_qw, record.dxTdz, record.primal_res,
-                record.dual_res, *record.monitors.flags.values(),
-            )
-            for record in trace
-        )
+    rows = trace._rows[_CSV_FIELDS].tolist()
     return TRACE_HEADER + "\n" + "".join([_CSV_ROW % row for row in rows])

@@ -120,6 +120,32 @@ class TestExitCodes:
         assert "status: invalid_start" in captured.out
         assert "Traceback" not in captured.out + captured.err
 
+    @pytest.mark.parametrize(
+        "start",
+        [{"z 1 1 1 1": "z 1e308 1e308 1 1"},  # x0'z0 overflows: mu0 = inf
+         {"x 1 1 1 1": "x" + " 1e-200" * 4, "z 1 1 1 1": "z" + " 1e-200" * 4}],  # mu0 = 0
+    )
+    @pytest.mark.parametrize("command", [["solve"], ["sweep", "--r-max", "2"]])
+    def test_start_without_a_finite_barrier_value_exits_two(
+        self, instance_path, tmp_path, capsys, start, command
+    ):
+        text = instance_path.read_text()
+        for line, extreme in start.items():
+            assert line in text
+            text = text.replace(line, extreme)
+        path = tmp_path / "extreme.lcco"
+        path.write_text(text)
+        out = ["--out", str(tmp_path / "sweep.csv")] if command[0] == "sweep" else []
+        with np.errstate(over="ignore"):  # the overflowing x0'z0
+            assert main([command[0], str(path), *command[1:], *out]) == 2
+        captured = capsys.readouterr()
+        assert "Traceback" not in captured.out + captured.err
+        assert "nan" not in captured.out
+        if command[0] == "solve":
+            assert "status: invalid_start" in captured.out
+        else:
+            assert (tmp_path / "sweep.csv").read_text().count("invalid_start") == 2
+
     def test_iteration_cap_exits_four(self, instance_path, capsys):
         assert main(["solve", str(instance_path), "--max-iter", "1"]) == 4
         assert "status: iteration_cap" in capsys.readouterr().out

@@ -1,8 +1,8 @@
 """Step equations: assembly, factorization, and solve accuracy.
 
-The small hand instance is graded against a dense np.linalg.solve of the
-full saddle system, which is an independent path around the package's
-null-space factorization.
+The small hand instance and two n = 8 quadratic ones are graded against a
+dense np.linalg.solve of the full saddle system, which is an independent
+path around the package's null-space factorization.
 """
 
 import math
@@ -135,24 +135,17 @@ class TestFactorization:
         assert grade[1] == math.inf
         assert not projector[1, n - m:].any()
 
-    def test_factors_reproduce_the_assembled_matrix(self):
-        p = generate_instance(8, 4, "quadratic", 21)
-        state = IterateState.from_point(p.start.x0, p.start.y0, p.start.z0, 1.0)
-        factorization = assemble_and_factor(p, state)
-        identity = np.eye(factorization.matrix.shape[0])
-        inverse = factorization.solve(identity)
-        scale = np.abs(factorization.matrix).max()
-        assert np.abs(factorization.matrix @ inverse - identity).max() <= 1e-10 * scale
-
-    def test_solve_matches_a_dense_solver(self):
-        p = generate_instance(8, 4, "quadratic", 22)
-        state = IterateState.from_point(p.start.x0, p.start.y0, p.start.z0, 1.0)
-        factorization = assemble_and_factor(p, state)
-        rng = np.random.default_rng(0)
-        rhs = rng.standard_normal(12)
-        got = factorization.solve(rhs)
-        want = np.linalg.solve(factorization.matrix, rhs)
-        assert np.linalg.norm(got - want) <= 1e-10 * np.linalg.norm(want)
+    @pytest.mark.parametrize("seed", [21, 22])
+    def test_step_matches_a_dense_solve_at_n_8(self, seed):
+        # At mu = 0.9 the start is off its mu-center, so h and the step are nonzero.
+        p = generate_instance(8, 4, "quadratic", seed)
+        state = IterateState.from_point(p.start.x0, p.start.y0, p.start.z0, 0.9)
+        for r in (1, 2):
+            step = newton_step(p, state, r)
+            for got, want in zip(
+                (step.dx_full, step.dy_full, step.dz_full), dense_reference_step(p, state, r)
+            ):
+                assert np.linalg.norm(got - want) <= 1e-10 * np.linalg.norm(want)
 
     def test_condition_estimate_is_modest_at_the_start(self):
         p = generate_instance(10, 5, "linear", 23)

@@ -141,6 +141,16 @@ class TestStartValidation:
         assert report.min_x == 0.0
         assert report.gamma0 == math.inf
 
+    @pytest.mark.parametrize("x0, z0", [([1.0, 1.0], [1e308, 1e308]),
+                                        ([1e-200, 1e-200], [1e-200, 1e-200])])
+    def test_start_whose_barrier_value_overflows_or_underflows_reports_infinite_proximity(
+        self, x0, z0
+    ):
+        with np.errstate(over="ignore"):
+            report = validate_start(small_problem(), StartPoint(x0=x0, y0=[0.0], z0=z0), 1)
+        assert not report.admissible
+        assert report.gamma0 == math.inf
+
     def test_dual_residual_reflects_a_shifted_slack(self):
         p = generate_instance(4, 2, "linear", 3)
         start = StartPoint(x0=p.start.x0, y0=p.start.y0, z0=p.start.z0 + 0.1)

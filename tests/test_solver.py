@@ -422,18 +422,30 @@ class TestSolveMany:
 
 class TestTraceColumns:
     def test_columns_are_read_only_arrays_of_the_record_fields(self):
+        cfg = SolverConfig(epsilon=1e-6, max_iterations=30)
         p = generate_instance(6, 3, "quadratic", 5)
-        trace = solve(p, SolverConfig(epsilon=1e-6, max_iterations=30)).trace
-        assert isinstance(trace, Trace)
-        assert trace.iteration.tolist() == list(range(1, 31))
-        for name in ("mu", "gap", "gamma", "min_w", "dxTdz", "dual_res", "scaled_primal"):
-            assert getattr(trace, name).tolist() == [getattr(rec, name) for rec in trace]
-        assert trace.gamma_before.tolist() == [rec.monitors.gamma_before for rec in trace]
-        assert trace.worst_margin.tolist() == [rec.monitors.worst_margin for rec in trace]
-        with pytest.raises(ValueError):
-            trace.gamma[0] = 0.0
-        with pytest.raises(AttributeError):
-            trace.monitors
+        # A batch member's block holds strided views of the batch's rows.
+        batch = [p, generate_instance(6, 3, "linear", 5), shifted(p, 0.05)]
+        blocks = []
+        solve_many(batch, cfg, on_block=lambda i, block: i == 2 and blocks.append(block))
+        traces = [solve(p, cfg).trace, *blocks]
+        assert len(traces) == 2
+        assert traces[1].mu.strides[0] == 3 * traces[0].mu.strides[0]
+        floats = [f.name for f in dataclasses.fields(TraceRecord) if f.type == "float"]
+        report = [f.name for f in dataclasses.fields(centralpath.MonitorReport)
+                  if f.type == "float"]
+        assert len(floats) == 12 and len(report) == 5
+        for trace in traces:
+            assert isinstance(trace, Trace)
+            assert trace.iteration.tolist() == list(range(1, 31))
+            for name in ("iteration", *floats, *report):
+                column = getattr(trace, "gamma" if name == "gamma_after" else name)
+                want = [getattr(rec.monitors if name in report else rec, name) for rec in trace]
+                assert column.tolist() == want
+                with pytest.raises(ValueError):
+                    column[0] = 0
+            with pytest.raises(AttributeError):
+                trace.monitors
 
     def test_equals_any_sequence_of_equal_records(self):
         p = generate_instance(4, 2, "linear", 7)
@@ -731,20 +743,19 @@ class TestTraceExport:
         assert flags[4] == "0"
 
     def test_empty_trace_is_just_the_header(self):
-        assert trace_to_csv(()) == TRACE_HEADER + "\n"
+        result = solve(shifted(generate_instance(4, 2, "linear", 7), 5.0))
+        assert result.status == "invalid_start"
+        assert trace_to_csv(result.trace) == TRACE_HEADER + "\n"
 
     def test_bytes_equal_the_per_field_formatter(self):
         result = solve(nonconvex_problem(), SolverConfig(epsilon=1e-6, max_iterations=3))
         solved = solve(generate_instance(6, 3, "quadratic", 5), SolverConfig(epsilon=1e-6))
         odd = [-0.0, math.inf, -math.inf, math.nan, 5e-324, 2.2250738585072014e-308,
                1e300, 0.1, -1.5e-17]
-        records = [
-            dataclasses.replace(
-                record, mu=odd[k % 9], gap=odd[(k + 1) % 9], gamma=odd[(k + 2) % 9],
-                min_w=odd[(k + 3) % 9], norm_pw=odd[(k + 4) % 9], norm_qw=odd[(k + 5) % 9],
-                dxTdz=odd[(k + 6) % 9], primal_res=odd[(k + 7) % 9], dual_res=odd[(k + 8) % 9],
-            )
-            for k, record in enumerate(list(solved.trace[:9]) + list(result.trace))
-        ]
-        for trace in (records, solved.trace, result.trace, ()):
+        rows = Trace.concat([solved.trace[:9], result.trace])._rows.copy()
+        names = ("mu", "gap", "gamma", "min_w", "norm_pw", "norm_qw", "dxTdz", "primal_res",
+                 "dual_res")
+        for j, name in enumerate(names):
+            rows[name] = [odd[(k + j) % 9] for k in range(len(rows))]
+        for trace in (Trace(rows), solved.trace, result.trace, Trace.concat([])):
             assert trace_to_csv(trace) == old_trace_to_csv(trace)
