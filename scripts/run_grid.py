@@ -24,8 +24,12 @@ CSV_HEADER = (
 )
 
 
-def build_parser():
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+def grid_parser(description: str):
+    """A parser with the grid flags --n, --kinds, --seeds, --r and --eps.
+
+    trace_digest.py takes them from here; check them with checked_configs.
+    """
+    parser = argparse.ArgumentParser(description=description)
     parser.add_argument(
         "--n", type=int, nargs="+", default=[4, 10, 50], help="variable counts"
     )
@@ -45,7 +49,6 @@ def build_parser():
     parser.add_argument(
         "--eps", type=float, default=1e-6, help="duality-gap target (default 1e-6)"
     )
-    parser.add_argument("--out", help="also write the table to this CSV path")
     return parser
 
 
@@ -88,7 +91,8 @@ def summarize(n, kind, seed, r, result, max_gamma):
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
+    parser = grid_parser(__doc__.splitlines()[0])
+    parser.add_argument("--out", help="also write the table to this CSV path")
     args = parser.parse_args(argv)
     configs = checked_configs(parser, args)
     try:

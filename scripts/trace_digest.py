@@ -9,46 +9,32 @@ with those two digests, the status, iteration count, bound and final
 gap, and the bytes of the final x, y and z.  No trace is held whole.
 Two builds print the same digest exactly when they agree bit for bit on
 all of it.  Batching changes no bit of a member's result, so a build
-that solves the runs one at a time prints the same digest.
+that solves the runs one at a time prints the same digest.  It takes
+run_grid.py's flags, without --out, and rejects bad values as that
+script does: a usage message and exit 2.
 
     python3 scripts/trace_digest.py
     python3 scripts/trace_digest.py --n 4 10 50 --r 1 2 3
 """
 
-import argparse
 import hashlib
+import importlib.util
 import itertools
 import sys
+from pathlib import Path
 
-from lcco_ipm import TRACE_HEADER, SolverConfig, generate_instance, solve_many, trace_to_csv
+from lcco_ipm import TRACE_HEADER, generate_instance, solve_many, trace_to_csv
 
-
-def parse_args(argv=None):
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument(
-        "--n", type=int, nargs="+", default=[4, 10, 50], help="variable counts"
-    )
-    parser.add_argument(
-        "--kinds",
-        nargs="+",
-        default=["linear", "quadratic"],
-        choices=["linear", "quadratic"],
-        help="objective kinds",
-    )
-    parser.add_argument(
-        "--seeds", type=int, nargs="+", default=[1, 2, 3], help="generator seeds"
-    )
-    parser.add_argument(
-        "--r", type=int, nargs="+", default=[1, 2, 3], help="kernel powers"
-    )
-    parser.add_argument(
-        "--eps", type=float, default=1e-6, help="duality-gap target (default 1e-6)"
-    )
-    return parser.parse_args(argv)
+# scripts/ is not a package, so the sibling is loaded by its path.
+_spec = importlib.util.spec_from_file_location("run_grid", Path(__file__).with_name("run_grid.py"))
+run_grid = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(run_grid)
 
 
 def main(argv=None) -> int:
-    args = parse_args(argv)
+    parser = run_grid.grid_parser(__doc__.splitlines()[0])
+    args = parser.parse_args(argv)
+    configs = run_grid.checked_configs(parser, args)
     digest = hashlib.sha256()
     runs = steps = 0
     for n in args.n:
@@ -65,8 +51,7 @@ def main(argv=None) -> int:
                 csv[i].update(trace_to_csv(block)[len(TRACE_HEADER) + 1 :].encode())
                 reprs[i].update("".join(map(repr, block)).encode())
 
-            cfg = SolverConfig(epsilon=args.eps, r=r)
-            batch = solve_many(problems, cfg, on_block=on_block)
+            batch = solve_many(problems, configs[r], on_block=on_block)
             for result, csv_digest, repr_digest in zip(batch, csv, reprs):
                 digest.update(csv_digest.digest())
                 digest.update(repr_digest.digest())

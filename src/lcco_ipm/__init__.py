@@ -24,18 +24,14 @@ from .centralpath import (
     monitor_step,
     p_vector,
     proximity,
-    proximity_from_scaling,
     scaled_directions,
-    scaled_system_matrices,
     scaling_vector,
 )
 from .newton import (
     RESIDUAL_LIMIT,
     SINGULAR_CONDITION,
-    KktFactorization,
     NewtonStep,
     NumericalError,
-    assemble_and_factor,
     newton_rhs,
     newton_step,
 )
@@ -93,7 +89,6 @@ __all__ = [
     "InstanceError",
     "InteriorError",
     "IterateState",
-    "KktFactorization",
     "KktResiduals",
     "MonitorReport",
     "NewtonStep",
@@ -111,7 +106,6 @@ __all__ = [
     "TraceRecord",
     "UnboundedError",
     "__version__",
-    "assemble_and_factor",
     "check_eq117_inequality",
     "contraction_coefficient",
     "default_theta",
@@ -126,11 +120,9 @@ __all__ = [
     "p_vector",
     "parse_instance",
     "proximity",
-    "proximity_from_scaling",
     "reference_solve_lp",
     "reference_solve_qp",
     "scaled_directions",
-    "scaled_system_matrices",
     "scaling_vector",
     "serialize_instance",
     "solve",

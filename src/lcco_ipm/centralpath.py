@@ -20,7 +20,10 @@ that hold each formula once: `_scaling`, `_p`, `_dot`, `_norm`,
 `_directions`, `_monitor_terms` and `_grade`.  All take arrays with any
 leading axes, so the solver's loop calls `_scaling`, `_p` and `_dot`
 once per step on a stack of already-checked iterates, and all of them
-once per block of steps, on a stack with a leading step axis.
+once per block of steps, on a stack with a leading step axis.  The
+one-member functions (`IterateState`, `scaled_directions` and
+`monitor_step`) stay as the checked reference the tests rebuild that
+loop from, one step at a time.
 """
 
 from __future__ import annotations
@@ -34,7 +37,6 @@ import numpy as np
 
 if TYPE_CHECKING:
     from .newton import NewtonStep
-    from .problem import Problem
 
 __all__ = [
     "R_MAX",
@@ -47,9 +49,7 @@ __all__ = [
     "scaling_vector",
     "p_vector",
     "proximity",
-    "proximity_from_scaling",
     "scaled_directions",
-    "scaled_system_matrices",
     "contraction_coefficient",
     "monitor_step",
     "eq117_ratio",
@@ -146,12 +146,6 @@ def p_vector(w, r: int) -> np.ndarray:
     return _p(_interior_vector(w, "w"), r)
 
 
-def proximity_from_scaling(w, r: int) -> float:
-    """Proximity Gamma = ||p_vector(w, r)|| / 2 of a scaling vector."""
-    r = _checked_power(r)
-    return float(_proximity(_interior_vector(w, "w"), r))
-
-
 def proximity(x, z, mu: float, r: int) -> float:
     """Distance of the pair (x, z) from the mu-center.
 
@@ -159,9 +153,12 @@ def proximity(x, z, mu: float, r: int) -> float:
     `p_vector` so the value is finite at every interior point (the factored
     form (1 - w^r) / (w^(r-1)(1 - w^2)) has a removable singularity at
     w_i = 1 and is never used).  Returns 0 exactly when x z = mu
-    componentwise.
+    componentwise.  scaling_vector checks x, z and mu; w itself is checked
+    too, since x_i z_i / mu can underflow to 0 where all three pass.
     """
-    return proximity_from_scaling(scaling_vector(x, z, mu), r)
+    w = scaling_vector(x, z, mu)
+    r = _checked_power(r)
+    return float(_proximity(_interior_vector(w, "w"), r))
 
 
 @dataclass(frozen=True)
@@ -257,22 +254,6 @@ def scaled_directions(
     for arr in (dx, dz, pw, qw):
         arr.setflags(write=False)
     return ScaledDirections(dx=dx, dz=dz, pw=pw, qw=qw, dxTdz=dxTdz)
-
-
-def scaled_system_matrices(p: "Problem", state: IterateState):
-    """Constraint and curvature matrices of the step equations in scaled space.
-
-    Returns (Abar, B) with Abar = (1/mu) A diag(x/w) and
-    B = (1/mu) diag(x/w) H diag(x/w), H the objective Hessian at x.  A
-    correct step satisfies Abar dx = 0 and dxTdz = dx' B dx.  Both products
-    cost O(n^2) and exist for diagnostics only; the Newton solve itself
-    works in unscaled variables.
-    """
-    scale = state.x / state.w
-    hessian = p.objective.evaluate(state.x)[2]
-    abar = p.A * scale[np.newaxis, :] / state.mu
-    b = (hessian * scale[np.newaxis, :]) * scale[:, np.newaxis] / state.mu
-    return abar, b
 
 
 def contraction_coefficient(r: int) -> float:

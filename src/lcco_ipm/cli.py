@@ -191,7 +191,8 @@ def _max_gamma(result: SolveResult) -> float:
 
 def _print_summary(path: str, problem, cfg: SolverConfig, result: SolveResult) -> None:
     n, m = problem.n, problem.m
-    mu0 = float(problem.start.x0 @ problem.start.z0) / n
+    with np.errstate(over="ignore"):  # x0'z0 of an extreme start may overflow
+        mu0 = float(problem.start.x0 @ problem.start.z0) / n
     theta = cfg.resolved_theta(n)
     print(f"instance: {path} (n={n}, m={m}, {problem.objective.kind} objective)")
     print(

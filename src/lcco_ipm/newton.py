@@ -28,9 +28,10 @@ of iterative refinement: the residual h/x - M dx against the unscaled M,
 projected by N', re-solved with the same factors.  No regularization is
 applied: the monitors downstream must grade the true Newton step, so a
 near-singular system is reported as a failure instead of being nudged.
-The public functions check the iterate and are one-member calls of the
-same unchecked kernels; each member of a stack keeps its own LAPACK
-calls and gates.
+`solve_many` calls `_null_space`, `_factor` and `_newton_step` on stacks
+of already-checked iterates, each member with its own LAPACK calls and
+gates.  `newton_step` checks one iterate and makes the same three calls
+on one-member stacks, so the public step and the loop share one path.
 """
 
 from __future__ import annotations
@@ -49,9 +50,7 @@ __all__ = [
     "RESIDUAL_LIMIT",
     "NumericalError",
     "NewtonStep",
-    "KktFactorization",
     "newton_rhs",
-    "assemble_and_factor",
     "newton_step",
 ]
 
@@ -68,36 +67,19 @@ class NumericalError(RuntimeError):
 
 @dataclass(frozen=True, eq=False)
 class NewtonStep:
-    """Full-space Newton directions and their verification residual.
+    """Full-space Newton directions, their verification residual and condition.
 
     `residual` is the largest of the three relative backsubstitution
     residuals of the step equations, each scaled by 1 + the norm of the
-    quantity it constrains.
+    quantity it constrains.  `condition` is the larger of cond(A)^2 and
+    the gecon estimate of the equilibrated G, as the trace records it.
     """
 
     dx_full: np.ndarray
     dy_full: np.ndarray
     dz_full: np.ndarray
     residual: float
-
-
-@dataclass(frozen=True, eq=False)
-class KktFactorization:
-    """Factored step system K = [[M, A'], [A, 0]] with M = H + diag(z/x).
-
-    With A' = [Y N] [R; 0], `basis` is [N; HN], `projector` is
-    [N'; (A')^+] with (A')^+ = R^-1 Y', and `scale`, `lu` and `pivots` are
-    the symmetric equilibration and LAPACK getrf factors of G = N'MN.
-    `condition_estimate` is the larger of cond(A)^2 and the gecon
-    estimate of the equilibrated G.
-    """
-
-    basis: np.ndarray
-    projector: np.ndarray
-    scale: np.ndarray
-    lu: np.ndarray
-    pivots: np.ndarray
-    condition_estimate: float
+    condition: float
 
 
 def newton_rhs(state: IterateState, r: int) -> np.ndarray:
@@ -179,38 +161,6 @@ def _lu(matrix: np.ndarray, norm: float, grade: float):
     return lu, pivots, estimate
 
 
-def assemble_and_factor(p: Problem, state: IterateState) -> KktFactorization:
-    """Assemble the step system at an iterate and factor it in the null space of A.
-
-    Raises NumericalError when A has dependent rows or the condition
-    estimate exceeds SINGULAR_CONDITION, which is the solver's
-    numerical-failure signal.
-    """
-    n = p.n
-    if state.x.shape != (n,) or state.z.shape != (n,):
-        raise ValueError("iterate dimensions do not match the problem")
-    if state.x.min() <= 0.0 or state.z.min() <= 0.0:
-        raise InteriorError("iterate is not strictly interior")
-    hessian = p.objective.evaluate(state.x)[2]
-    basis, projector, reduced, grade = _null_space(p.A[np.newaxis], hessian[np.newaxis])
-    scale, (factor,) = _factor(
-        basis, projector, reduced, grade, state.x[np.newaxis], state.z[np.newaxis]
-    )
-    if isinstance(factor, NumericalError):
-        raise factor
-    lu, pivots, estimate = factor
-    for arr in (basis, projector, scale, lu, pivots):
-        arr.setflags(write=False)
-    return KktFactorization(
-        basis=basis[0],
-        projector=projector[0],
-        scale=scale[0],
-        lu=lu,
-        pivots=pivots,
-        condition_estimate=estimate,
-    )
-
-
 def newton_step(p: Problem, state: IterateState, r: int) -> NewtonStep:
     """Solve the step equations at state, aimed at its own mu, to working accuracy.
 
@@ -220,11 +170,17 @@ def newton_step(p: Problem, state: IterateState, r: int) -> NewtonStep:
     RESIDUAL_LIMIT, like a singular factorization, raises NumericalError.
     """
     h = newton_rhs(state, r)
-    f = assemble_and_factor(p, state)
+    if state.x.shape != (p.n,) or state.z.shape != (p.n,):
+        raise ValueError("iterate dimensions do not match the problem")
+    if state.x.min() <= 0.0 or state.z.min() <= 0.0:
+        raise InteriorError("iterate is not strictly interior")
+    A, x, z = p.A[np.newaxis], state.x[np.newaxis], state.z[np.newaxis]
+    space = _null_space(A, p.objective.evaluate(state.x)[2][np.newaxis])
+    scale, factors = _factor(*space, x, z)
+    if isinstance(factors[0], NumericalError):
+        raise factors[0]
     (dx,), (dy,), (dz,), _, (residual,) = _newton_step(
-        p.A[np.newaxis], f.basis[np.newaxis], f.projector[np.newaxis],
-        state.x[np.newaxis], state.z[np.newaxis], h[np.newaxis],
-        f.scale[np.newaxis], [(f.lu, f.pivots)],
+        A, *space[:2], x, z, h[np.newaxis], scale, factors
     )
     if not residual <= RESIDUAL_LIMIT:
         raise NumericalError(
@@ -232,7 +188,7 @@ def newton_step(p: Problem, state: IterateState, r: int) -> NewtonStep:
         )
     for arr in (dx, dy, dz):
         arr.setflags(write=False)
-    return NewtonStep(dx_full=dx, dy_full=dy, dz_full=dz, residual=residual)
+    return NewtonStep(dx, dy, dz, residual, condition=factors[0][2])
 
 
 def _solve(factors, scale: np.ndarray, rhs: np.ndarray) -> np.ndarray:

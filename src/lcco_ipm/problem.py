@@ -21,7 +21,7 @@ from typing import Optional
 
 import numpy as np
 
-from .centralpath import _checked_power, proximity
+from .centralpath import InteriorError, _checked_power, proximity
 
 __all__ = [
     "ParseError",
@@ -242,16 +242,18 @@ class FeasibilityReport:
 
     `admissible` is true iff the start is strictly interior, both
     residuals are within 1e-8 (1 + norm of the matched right-hand side),
-    and the proximity gamma0 at mu0 = x0'z0/n is below the admission
-    threshold.  gamma0 is reported as inf where the scaling vector is
-    undefined: for non-interior starts, and where mu0 is not finite and
-    positive (x0'z0 overflows or underflows).
+    and the proximity gamma0 at mu0 = gap0/n, gap0 = x0'z0, is below the
+    admission threshold.  gamma0 is reported as inf where the scaling
+    vector is undefined: for non-interior starts, where mu0 is not finite
+    and positive (x0'z0 overflows or underflows), and where some
+    x0_i z0_i / mu0 underflows to zero.
     """
 
     primal_residual: float
     dual_residual: float
     min_x: float
     min_z: float
+    gap0: float
     gamma0: float
     admissible: bool
 
@@ -268,32 +270,30 @@ def validate_start(p: Problem, s: StartPoint, r: int) -> FeasibilityReport:
     n, m = p.n, p.m
     if s.x0.shape != (n,) or s.y0.shape != (m,) or s.z0.shape != (n,):
         raise ValueError("start point dimensions do not match the problem")
-    gradient = p.objective.evaluate(s.x0)[1]
-    primal_residual = float(np.linalg.norm(p.A @ s.x0 - p.b))
-    dual_residual = float(np.linalg.norm(p.A.T @ s.y0 + s.z0 - gradient))
+    # An extreme start may overflow these products and norms: graded, not warned.
+    with np.errstate(over="ignore"):
+        gradient = p.objective.evaluate(s.x0)[1]
+        primal_residual = float(np.linalg.norm(p.A @ s.x0 - p.b))
+        dual_residual = float(np.linalg.norm(p.A.T @ s.y0 + s.z0 - gradient))
+        feasible = (
+            primal_residual <= _START_RTOL * (1.0 + float(np.linalg.norm(p.b)))
+            and dual_residual <= _START_RTOL * (1.0 + float(np.linalg.norm(gradient)))
+        )
+        gap0 = float(s.x0 @ s.z0)
     min_x = float(s.x0.min())
     min_z = float(s.z0.min())
-    interior = min_x > 0.0 and min_z > 0.0
-    mu0 = float(s.x0 @ s.z0) / n
-    if interior and math.isfinite(mu0) and mu0 > 0.0:
-        gamma0 = proximity(s.x0, s.z0, mu0, r)
-    else:
-        # No scaling vector: the start is not interior, or x0'z0 overflows
-        # or underflows.
-        gamma0 = math.inf
-    admissible = (
-        interior
-        and primal_residual <= _START_RTOL * (1.0 + float(np.linalg.norm(p.b)))
-        and dual_residual <= _START_RTOL * (1.0 + float(np.linalg.norm(gradient)))
-        and gamma0 < math.exp(-r)
-    )
+    try:
+        gamma0 = proximity(s.x0, s.z0, gap0 / n, r)
+    except InteriorError:
+        gamma0 = math.inf  # no scaling vector
     return FeasibilityReport(
         primal_residual=primal_residual,
         dual_residual=dual_residual,
         min_x=min_x,
         min_z=min_z,
+        gap0=gap0,
         gamma0=gamma0,
-        admissible=admissible,
+        admissible=min_x > 0.0 and min_z > 0.0 and feasible and gamma0 < math.exp(-r),
     )
 
 

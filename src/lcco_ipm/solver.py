@@ -341,21 +341,21 @@ def solve_many(
     if problems and problems[0].n < 2:
         raise ValueError(f"solver requires n >= 2, got {problems[0].n}")
     results: list = [None] * len(problems)
+    reports = [validate_start(p, p.start, cfg.r) for p in problems]
     bounds = []
-    for i, p in enumerate(problems):
+    for i, (p, report) in enumerate(zip(problems, reports)):
         start = p.start
-        gap0 = float(start.x0 @ start.z0)
-        mu0 = gap0 / p.n
+        mu0 = report.gap0 / p.n
         positive = math.isfinite(mu0) and mu0 > 0.0
         bounds.append(iteration_bound(mu0, p.n, cfg.r, cfg.epsilon) if positive else 0)
-        if not validate_start(p, start, cfg.r).admissible:
+        if not report.admissible:
             results[i] = SolveResult(
                 status="invalid_start",
                 x=start.x0,
                 y=start.y0,
                 z=start.z0,
                 mu_final=mu0,
-                gap_final=gap0,
+                gap_final=report.gap0,
                 iterations=0,
                 bound=bounds[i],
                 trace=Trace.concat(()),
@@ -373,7 +373,7 @@ def solve_many(
     starts = [problems[i].start for i in ids]
     x, y, z = (np.array([getattr(s, key) for s in starts]) for key in ("x0", "y0", "z0"))
     A, b = (np.array([getattr(problems[i], key) for i in ids]) for key in ("A", "b"))
-    gap = np.array([float(s.x0 @ s.z0) for s in starts])
+    gap = np.array([reports[i].gap0 for i in ids])
     mu = gap / n
     limit = np.array([cfg.resolved_max_iterations(bounds[i]) for i in ids])
     hessian = np.array([problems[i].objective.evaluate(x[k])[2] for k, i in enumerate(ids)])

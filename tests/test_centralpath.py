@@ -6,6 +6,7 @@ with the catastrophic cancellation left in; the package must match the
 correctly rounded doubles frozen from that oracle.
 """
 
+import dataclasses
 import math
 import struct
 
@@ -23,7 +24,6 @@ from lcco_ipm import (
     InteriorError,
     IterateState,
     MonitorReport,
-    NewtonStep,
     ScaledDirections,
     check_eq117_inequality,
     contraction_coefficient,
@@ -33,9 +33,7 @@ from lcco_ipm import (
     newton_step,
     p_vector,
     proximity,
-    proximity_from_scaling,
     scaled_directions,
-    scaled_system_matrices,
     scaling_vector,
 )
 from lcco_ipm import centralpath
@@ -153,6 +151,11 @@ class TestProximity:
     def test_zero_on_the_center(self):
         assert proximity([1.0, 1.0], [2.0, 2.0], 2.0, 3) == 0.0
 
+    def test_rejects_a_scaling_vector_that_underflows(self):
+        # x, z and mu pass their checks, but x_1 z_1 / mu underflows to w_1 = 0.
+        with pytest.raises(InteriorError, match="w must be"):
+            proximity([1e-200, 1.0], [1e-200, 1.0], 0.5, 2)
+
     def test_small_examples(self):
         assert proximity([0.5], [0.5], 1.0, 1) == 0.5
         got = proximity([0.5, 2.0], [0.5, 2.0], 1.0, 2)
@@ -243,12 +246,7 @@ class TestScaledDirections:
         mu = 0.9
         state = IterateState.from_point(p.start.x0, p.start.y0, p.start.z0, mu)
         step = newton_step(p, state, 1)
-        broken = NewtonStep(
-            dx_full=2.0 * step.dx_full,
-            dy_full=step.dy_full,
-            dz_full=step.dz_full,
-            residual=step.residual,
-        )
+        broken = dataclasses.replace(step, dx_full=2.0 * step.dx_full)
         with pytest.raises(DirectionError):
             scaled_directions(broken, state, 1)
         # The advisory path computes without raising.
@@ -261,27 +259,15 @@ class TestScaledDirections:
         state = IterateState.from_point(p.start.x0, p.start.y0, p.start.z0, mu)
         step = newton_step(p, state, 2)
         dirs = scaled_directions(step, state, 2)
-        abar, curvature = scaled_system_matrices(p, state)
+        # Abar = (1/mu) A diag(x/w) and B = (1/mu) diag(x/w) H diag(x/w):
+        # a correct step has Abar dx = 0 and dx'dz = dx' B dx.
+        scale = state.x / state.w
+        abar = p.A * scale / mu
+        curvature = p.objective.evaluate(state.x)[2] * np.outer(scale, scale) / mu
         assert np.linalg.norm(abar @ dirs.dx) <= 1e-9
         assert dirs.dxTdz == pytest.approx(
             float(dirs.dx @ (curvature @ dirs.dx)), abs=1e-9
         )
-
-
-class TestScaledSystemMatrices:
-    def test_linear_objective_has_zero_curvature(self):
-        p = generate_instance(4, 2, "linear", 5)
-        state = IterateState.from_point(p.start.x0, p.start.y0, p.start.z0, 1.0)
-        abar, curvature = scaled_system_matrices(p, state)
-        assert np.array_equal(curvature, np.zeros((4, 4)))
-
-    def test_reduces_to_a_at_the_generated_start(self):
-        # x = e and mu = 1 give w = e, so Abar = A diag(x)/mu = A.
-        p = generate_instance(4, 2, "quadratic", 5)
-        state = IterateState.from_point(p.start.x0, p.start.y0, p.start.z0, 1.0)
-        abar, curvature = scaled_system_matrices(p, state)
-        assert np.allclose(abar, p.A, rtol=0.0, atol=0.0)
-        assert np.allclose(curvature, curvature.T, atol=1e-14)
 
 
 class TestMonitorStep:
@@ -329,7 +315,7 @@ class TestMonitorStep:
             100.0 * np.ones(n), np.zeros(1), np.ones(n), 1.0
         )
         r = 1
-        gamma = proximity_from_scaling(before.w, r)
+        gamma = proximity(before.x, before.z, before.mu, r)
         assert gamma > 1.0  # also gates lemma 2
         report = monitor_step(before, after, zero_directions(n), r)
         assert report.lemma2_ok and report.lemma4_ok and report.lemma5_ok

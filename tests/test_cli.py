@@ -1,5 +1,7 @@
 """Command-line surface: arguments, outputs, files, and exit codes."""
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -123,7 +125,9 @@ class TestExitCodes:
     @pytest.mark.parametrize(
         "start",
         [{"z 1 1 1 1": "z 1e308 1e308 1 1"},  # x0'z0 overflows: mu0 = inf
-         {"x 1 1 1 1": "x" + " 1e-200" * 4, "z 1 1 1 1": "z" + " 1e-200" * 4}],  # mu0 = 0
+         {"x 1 1 1 1": "x" + " 1e-200" * 4, "z 1 1 1 1": "z" + " 1e-200" * 4},  # mu0 = 0
+         # mu0 = 3/4, but x0_1 z0_1 / mu0 underflows to w_1 = 0
+         {"x 1 1 1 1": "x 1e-200 1 1 1", "z 1 1 1 1": "z 1e-200 1 1 1"}],
     )
     @pytest.mark.parametrize("command", [["solve"], ["sweep", "--r-max", "2"]])
     def test_start_without_a_finite_barrier_value_exits_two(
@@ -136,13 +140,15 @@ class TestExitCodes:
         path = tmp_path / "extreme.lcco"
         path.write_text(text)
         out = ["--out", str(tmp_path / "sweep.csv")] if command[0] == "sweep" else []
-        with np.errstate(over="ignore"):  # the overflowing x0'z0
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
             assert main([command[0], str(path), *command[1:], *out]) == 2
         captured = capsys.readouterr()
         assert "Traceback" not in captured.out + captured.err
         assert "nan" not in captured.out
         if command[0] == "solve":
             assert "status: invalid_start" in captured.out
+            assert captured.err == ""
         else:
             assert (tmp_path / "sweep.csv").read_text().count("invalid_start") == 2
 

@@ -5,6 +5,7 @@ dense np.linalg.solve of the full saddle system, which is an independent
 path around the package's null-space factorization.
 """
 
+import dataclasses
 import math
 import warnings
 
@@ -19,7 +20,6 @@ from lcco_ipm import (
     NumericalError,
     ObjectiveSpec,
     Problem,
-    assemble_and_factor,
     generate_instance,
     newton_rhs,
     newton_step,
@@ -150,8 +150,8 @@ class TestFactorization:
     def test_condition_estimate_is_modest_at_the_start(self):
         p = generate_instance(10, 5, "linear", 23)
         state = IterateState.from_point(p.start.x0, p.start.y0, p.start.z0, 1.0)
-        factorization = assemble_and_factor(p, state)
-        assert 1.0 <= factorization.condition_estimate < 1e8
+        step = newton_step(p, state, 1)
+        assert 1.0 <= step.condition < 1e8
 
     def test_dependent_rows_raise(self):
         p = Problem(
@@ -161,7 +161,7 @@ class TestFactorization:
         )
         state = IterateState.from_point([1.0, 1.0], [0.0, 0.0], [1.0, 1.0], 1.0)
         with pytest.raises(NumericalError):
-            assemble_and_factor(p, state)
+            newton_step(p, state, 1)
 
     def test_exactly_singular_system_raises_without_a_warning(self):
         # Identical rows of A leave an exact zero pivot in the LU factors.
@@ -174,7 +174,7 @@ class TestFactorization:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(NumericalError, match="singular"):
-                assemble_and_factor(p, state)
+                newton_step(p, state, 1)
 
     def test_nearly_dependent_rows_raise_on_the_condition_estimate(self):
         p = Problem(
@@ -184,7 +184,7 @@ class TestFactorization:
         )
         state = IterateState.from_point([1.0, 1.0], [0.0, 0.0], [1.0, 1.0], 1.0)
         with pytest.raises(NumericalError, match="condition estimate"):
-            assemble_and_factor(p, state)
+            newton_step(p, state, 1)
 
     @pytest.mark.parametrize("n, m", [(2, 2), (6, 3), (20, 10)])
     @pytest.mark.parametrize("condition", [1e5, 1e6, 1e8])
@@ -200,10 +200,10 @@ class TestFactorization:
         state = IterateState.from_point(np.ones(n), np.zeros(m), np.ones(n), 1.0)
         if condition**2 > SINGULAR_CONDITION:
             with pytest.raises(NumericalError, match="condition estimate"):
-                assemble_and_factor(p, state)
+                newton_step(p, state, 1)
         else:
-            factorization = assemble_and_factor(p, state)
-            assert factorization.condition_estimate == pytest.approx(condition**2, rel=1e-6)
+            step = newton_step(p, state, 1)
+            assert step.condition == pytest.approx(condition**2, rel=1e-6)
 
     def test_non_finite_a_raises(self):
         p = Problem(
@@ -213,7 +213,7 @@ class TestFactorization:
         )
         state = IterateState.from_point([1.0, 1.0], [0.0], [1.0, 1.0], 1.0)
         with pytest.raises(NumericalError, match="condition estimate"):
-            assemble_and_factor(p, state)
+            newton_step(p, state, 1)
 
     def test_boundary_iterate_raises(self):
         p = hand_problem()
@@ -225,13 +225,16 @@ class TestFactorization:
             w=np.array([1.0, 0.0]),
         )
         with pytest.raises(InteriorError):
-            assemble_and_factor(p, state)
+            newton_step(p, state, 1)
+        # A cached w that passes its own check still meets the iterate's.
+        with pytest.raises(InteriorError, match="not strictly interior"):
+            newton_step(p, dataclasses.replace(state, w=np.ones(2)), 1)
 
     def test_dimension_mismatch_raises(self):
         p = generate_instance(4, 2, "linear", 1)
         state = IterateState.from_point([1.0, 1.0], [0.0], [1.0, 1.0], 1.0)
         with pytest.raises(ValueError):
-            assemble_and_factor(p, state)
+            newton_step(p, state, 1)
 
 
 class TestNewtonStep:

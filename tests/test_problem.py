@@ -1,6 +1,7 @@
 """Instance model, text format round-trips, and the seeded generator."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -142,13 +143,17 @@ class TestStartValidation:
         assert report.gamma0 == math.inf
 
     @pytest.mark.parametrize("x0, z0", [([1.0, 1.0], [1e308, 1e308]),
-                                        ([1e-200, 1e-200], [1e-200, 1e-200])])
+                                        ([1e-200, 1e-200], [1e-200, 1e-200]),
+                                        # mu0 = 1/2, but x0_1 z0_1 / mu0 underflows to 0
+                                        ([1e-200, 1.0], [1e-200, 1.0])])
     def test_start_whose_barrier_value_overflows_or_underflows_reports_infinite_proximity(
         self, x0, z0
     ):
-        with np.errstate(over="ignore"):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
             report = validate_start(small_problem(), StartPoint(x0=x0, y0=[0.0], z0=z0), 1)
         assert not report.admissible
+        assert report.gap0 == sum(a * b for a, b in zip(x0, z0))
         assert report.gamma0 == math.inf
 
     def test_dual_residual_reflects_a_shifted_slack(self):

@@ -101,6 +101,19 @@ def test_run_grid_rejects_bad_values_before_solving(bad, capsys):
     assert "Traceback" not in captured.err
 
 
+@pytest.mark.parametrize("bad", [["--n", "1"], ["--r", "0"], ["--seeds", "-1"]])
+def test_trace_digest_rejects_bad_values_like_run_grid(bad, capsys):
+    script = load("trace_digest")
+    with pytest.raises(SystemExit) as exit_info:
+        script.main(["--n", "4", "--seeds", "1", *bad])
+    assert exit_info.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("usage: ")
+    assert "error: " in captured.err
+    assert "Traceback" not in captured.err
+
+
 def test_run_grid_opens_its_table_before_solving(tmp_path, capsys):
     script = load("run_grid")
     table = tmp_path / "missing" / "grid.csv"
