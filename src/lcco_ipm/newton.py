@@ -20,18 +20,25 @@ the QR factorization, N'HN, [N; HN] and (A')^+ once per solve.
 
 It also grades A there: a zero on the diagonal of R (dependent rows) is
 singular, and cond(A)^2, from the singular values of R, is the floor of
-every step's condition estimate.  Each step `_factor` equilibrates G
-symmetrically, factors it by dense LU with partial pivoting (LAPACK
-getrf), and fails the step past SINGULAR_CONDITION on the larger of that
-floor and 1/rcond from LAPACK gecon.  v is solved (getrs) with one pass
-of iterative refinement: the residual h/x - M dx against the unscaled M,
-projected by N', re-solved with the same factors.  No regularization is
-applied: the monitors downstream must grade the true Newton step, so a
-near-singular system is reported as a failure instead of being nudged.
-`solve_many` calls `_null_space`, `_factor` and `_newton_step` on stacks
-of already-checked iterates, each member with its own LAPACK calls and
-gates.  `newton_step` checks one iterate and makes the same three calls
-on one-member stacks, so the public step and the loop share one path.
+every step's condition.  Each step `_factor` equilibrates G symmetrically,
+G_eq = S G S, and inverts all members' G_eq in one batched LAPACK call
+(np.linalg.inv, an LU with partial pivoting per member).  With the
+inverse at hand the condition is exact: ||G_eq||_1 ||G_eq^-1||_1, where
+LAPACK gecon would only estimate it from below.  So the gate, which fails
+a step past SINGULAR_CONDITION on the larger of the floor and that
+condition, is never looser than one graded by gecon.  If some member's
+G_eq has an exact zero pivot, the batched call fails as a whole; the
+members are then inverted one by one, and the singular ones rejected.
+v = W N'(h/x), with W = S G_eq^-1 S = G^-1, and one pass of iterative
+refinement: the residual h/x - M dx against the unscaled M, projected by
+N', mapped by the same W.  No regularization is applied: the monitors
+downstream must grade the true Newton step, so a near-singular system is
+reported as a failure instead of being nudged.  `solve_many` calls
+`_null_space`, `_factor` and `_newton_step` on stacks of already-checked
+iterates; each call serves the whole stack, and each member keeps its
+own gates.  `newton_step` checks one iterate and makes the same three
+calls on one-member stacks, so the public step and the loop share one
+path.
 """
 
 from __future__ import annotations
@@ -40,7 +47,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg.lapack import dgecon, dgetrf, dgetrs
 
 from .centralpath import InteriorError, IterateState, _norm, p_vector
 from .problem import Problem
@@ -54,7 +60,7 @@ __all__ = [
     "newton_step",
 ]
 
-# Condition estimate beyond which the factorization is treated as singular.
+# Condition beyond which the step system is treated as singular.
 SINGULAR_CONDITION = 1e14
 
 # Worst relative backsubstitution residual a returned step may carry.
@@ -72,7 +78,8 @@ class NewtonStep:
     `residual` is the largest of the three relative backsubstitution
     residuals of the step equations, each scaled by 1 + the norm of the
     quantity it constrains.  `condition` is the larger of cond(A)^2 and
-    the gecon estimate of the equilibrated G, as the trace records it.
+    the exact 1-norm condition of the equilibrated G, as the trace
+    records it.
     """
 
     dx_full: np.ndarray
@@ -126,9 +133,12 @@ def _null_space(A: np.ndarray, hessian: np.ndarray):
 
 
 def _factor(basis, projector, reduced, grade, x: np.ndarray, z: np.ndarray):
-    """Build G = N'HN + N' diag(z/x) N for each member and factor it.
+    """Build G = N'HN + N' diag(z/x) N for each member, grade it and invert it.
 
-    Returns the equilibration scales and, per member, `_lu`'s answer.
+    Returns each member's W = S G_eq^-1 S = G^-1 and its condition (a
+    float), or the NumericalError that rejects its system.  A rejected
+    member's W is NaN, so its step cannot pass the residual gate.  grade
+    is cond(A)^2, the floor of the condition.
     """
     n, k = x.shape[-1], reduced.shape[-1]
     matrix = reduced + (projector[:, :k] * (z / x)[:, np.newaxis, :]) @ basis[:, :n]
@@ -136,38 +146,54 @@ def _factor(basis, projector, reduced, grade, x: np.ndarray, z: np.ndarray):
     if not row_peak.all():
         row_peak[row_peak == 0.0] = 1.0
     scale = 1.0 / np.sqrt(row_peak)
-    matrix *= scale[:, :, np.newaxis]
-    matrix *= scale[:, np.newaxis, :]
-    norms = np.abs(matrix).sum(axis=1).max(axis=1, initial=0.0)
-    return scale, [_lu(*member) for member in zip(matrix, norms.tolist(), grade.tolist())]
+    rows, columns = scale[:, :, np.newaxis], scale[:, np.newaxis, :]
+    matrix *= rows
+    matrix *= columns
+    singular = []
+    try:
+        inverse = np.linalg.inv(matrix)
+    except np.linalg.LinAlgError:
+        # Some member has an exact zero pivot: invert the members one by
+        # one, which gives each the bits of the stacked call.
+        inverse = np.full_like(matrix, math.nan)
+        for b, member in enumerate(matrix):
+            try:
+                inverse[b] = np.linalg.inv(member)
+            except np.linalg.LinAlgError:
+                singular.append(b)
+    with np.errstate(over="ignore"):
+        norms = np.abs(matrix).sum(axis=1).max(axis=1, initial=0.0)
+        condition = np.maximum(grade, norms * np.abs(inverse).sum(axis=1).max(axis=1, initial=0.0))
+    conditions = condition.tolist()
+    if not condition.max() <= SINGULAR_CONDITION:
+        for b, (g, c) in enumerate(zip(grade.tolist(), conditions)):
+            if not c <= SINGULAR_CONDITION:
+                inverse[b] = math.nan
+                conditions[b] = _rejection(g, b in singular, c)
+    inverse *= rows
+    inverse *= columns
+    return inverse, conditions
 
 
-def _lu(matrix: np.ndarray, norm: float, grade: float):
-    # (lu, pivots, condition estimate) of one member, or the error that
-    # rejects its system.  grade is cond(A)^2, the floor of the estimate.
+def _rejection(grade: float, singular: bool, condition: float) -> NumericalError:
+    # Why a member's system was rejected, in the order the checks apply.
     if grade == math.inf:
         return NumericalError("step system singular (A has linearly dependent rows)")
-    # At m = n, A alone fixes dx = 0 and G is empty.
-    lu, pivots, info = dgetrf(matrix) if matrix.size else (matrix, np.zeros(0, np.int32), 0)
-    if info > 0:
-        return NumericalError(f"step system singular (zero pivot in column {info})")
-    rcond = dgecon(lu, norm)[0] if matrix.size else 1.0
-    estimate = max(grade, 1.0 / rcond if 0.0 < rcond < math.inf else math.inf)
-    if not estimate <= SINGULAR_CONDITION:
-        return NumericalError(
-            f"step system numerically singular "
-            f"(condition estimate {estimate:.3e} exceeds {SINGULAR_CONDITION:.0e})"
-        )
-    return lu, pivots, estimate
+    if singular:
+        return NumericalError("step system singular (G has an exact zero pivot)")
+    return NumericalError(
+        f"step system numerically singular "
+        f"(condition estimate {condition:.3e} exceeds {SINGULAR_CONDITION:.0e})"
+    )
 
 
 def newton_step(p: Problem, state: IterateState, r: int) -> NewtonStep:
     """Solve the step equations at state, aimed at its own mu, to working accuracy.
 
     One iterative-refinement pass against the unscaled matrix follows the
-    factored solve; the three step equations are then verified and the
-    worst relative residual is returned on the step.  A residual above
-    RESIDUAL_LIMIT, like a singular factorization, raises NumericalError.
+    solve through the inverse; the three step equations are then verified
+    and the worst relative residual is returned on the step.  A residual
+    above RESIDUAL_LIMIT, like a rejected system, raises NumericalError.
     """
     h = newton_rhs(state, r)
     if state.x.shape != (p.n,) or state.z.shape != (p.n,):
@@ -176,11 +202,11 @@ def newton_step(p: Problem, state: IterateState, r: int) -> NewtonStep:
         raise InteriorError("iterate is not strictly interior")
     A, x, z = p.A[np.newaxis], state.x[np.newaxis], state.z[np.newaxis]
     space = _null_space(A, p.objective.evaluate(state.x)[2][np.newaxis])
-    scale, factors = _factor(*space, x, z)
-    if isinstance(factors[0], NumericalError):
-        raise factors[0]
+    inverse, (condition,) = _factor(*space, x, z)
+    if isinstance(condition, NumericalError):
+        raise condition
     (dx,), (dy,), (dz,), _, (residual,) = _newton_step(
-        A, *space[:2], x, z, h[np.newaxis], scale, factors
+        A, *space[:2], x, z, h[np.newaxis], inverse
     )
     if not residual <= RESIDUAL_LIMIT:
         raise NumericalError(
@@ -188,52 +214,38 @@ def newton_step(p: Problem, state: IterateState, r: int) -> NewtonStep:
         )
     for arr in (dx, dy, dz):
         arr.setflags(write=False)
-    return NewtonStep(dx, dy, dz, residual, condition=factors[0][2])
+    return NewtonStep(dx, dy, dz, float(residual), condition)
 
 
-def _solve(factors, scale: np.ndarray, rhs: np.ndarray) -> np.ndarray:
-    # G v = rhs for (B, k, c) stacks through each member's equilibrated
-    # factors; a member without factors gets 0.
-    scale = scale[:, :, np.newaxis]
-    scaled = rhs * scale
-    if scaled.shape[1]:
-        for b, f in enumerate(factors):
-            scaled[b] = dgetrs(f[0], f[1], scaled[b], overwrite_b=True)[0] if type(f) is tuple else 0
-    return scaled * scale
-
-
-def _reduced_solve(basis, projector, factors, scale, weights, rhs):
+def _reduced_solve(basis, projector, inverse, weights, rhs):
     # [[M, A'], [A, 0]] [dx; u] = [rhs; 0] on (B, n, c) stacks, M = H + diag(weights):
-    # dx = N v with G v = N' rhs, refined once against the unscaled M, and
+    # dx = N v with v = G^-1 N' rhs, refined once against the unscaled M, and
     # u = (A')^+ (rhs - M dx).  Returns dx, H dx and u.
     n, k = weights.shape[-1], basis.shape[-1]
     weights = weights[:, :, np.newaxis]
     null = projector[:, :k]
-    v = _solve(factors, scale, null @ rhs)
+    v = inverse @ (null @ rhs)
     image = basis @ v
-    v += _solve(factors, scale, null @ (rhs - image[:, n:] - weights * image[:, :n]))
+    v += inverse @ (null @ (rhs - image[:, n:] - weights * image[:, :n]))
     image = basis @ v
     dx, h_dx = image[:, :n], image[:, n:]
     return dx, h_dx, projector[:, k:] @ (rhs - h_dx - weights * dx)
 
 
-def _newton_step(A, basis, projector, x, z, h, scale, factors):
-    """`newton_step` on a (B, .) stack of checked iterates and their `_factor` output.
+def _newton_step(A, basis, projector, x, z, h, inverse):
+    """`newton_step` on a (B, .) stack of checked iterates and their `_factor` inverses.
 
     Returns dx, dy, dz, ||A dx|| and each member's worst relative residual,
-    infinite where its factorization failed or a residual is not finite.
+    infinite where it is not finite (as for a rejected member's NaN inverse).
     """
-    dx, h_dx, u = _reduced_solve(
-        basis, projector, factors, scale, z / x, (h / x)[:, :, np.newaxis]
-    )
+    dx, h_dx, u = _reduced_solve(basis, projector, inverse, z / x, (h / x)[:, :, np.newaxis])
     dx, dy = dx[:, :, 0], -u[:, :, 0]
     dz = (h - z * dx) / x
     a_dx = _norm((A @ dx[:, :, np.newaxis])[:, :, 0])
     dual = (A.swapaxes(-1, -2) @ dy[:, :, np.newaxis] - h_dx)[:, :, 0] + dz
-    norms = _norm(np.array([dual, z * dx + x * dz - h, dx, dz, h])).tolist()
-    residual = []
-    for f, primal, dual, comp, size_dx, size_dz, size_h in zip(factors, a_dx.tolist(), *norms):
-        ratios = (primal / (1.0 + size_dx), dual / (1.0 + size_dz), comp / (1.0 + size_h))
-        finite = type(f) is tuple and math.isfinite(sum(ratios))
-        residual.append(max(ratios) if finite else math.inf)
+    # The norms of the dual and complementarity residuals, then of dx, dz
+    # and h, which scale the primal, dual and complementarity ratios.
+    sizes = _norm(np.array([dual, z * dx + x * dz - h, dx, dz, h]))
+    residual = (np.array([a_dx, sizes[0], sizes[1]]) / (1.0 + sizes[2:])).max(axis=0)
+    residual[np.isnan(residual)] = math.inf
     return dx, dy, dz, a_dx, residual

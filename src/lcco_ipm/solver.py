@@ -219,8 +219,9 @@ class Trace(Sequence):
     monitor report (the flags lemma2_ok, ..., eq112_ok as bools, then
     gamma_before, contraction_bound, gap_bound and worst_margin), and
     three fields no record carries: eq115_slack, the smallest eq115
-    slack; condition, the condition estimate of the step system; and
-    step_residual, the worst relative residual of the step equations.
+    slack; condition, the 1-norm condition of the step system, as
+    `NewtonStep` has it; and step_residual, the worst relative residual
+    of the step equations.
     """
 
     __slots__ = ("_rows",)
@@ -289,10 +290,14 @@ class SolveResult:
     monitor_violations: int
 
 
-# Steps recorded in one block before it is evaluated and graded.  A flush
-# holds some sixteen (depth, B, n) arrays at once, so a deeper block adds
-# resident memory at large B n and saves little more dispatch.
+# Steps recorded in one block before it is evaluated and graded.  A deeper
+# block saves little more dispatch.
 _BLOCK = 32
+
+# Elements of one (steps, B, n) array that a flush evaluates at once.  It
+# holds some sixteen such arrays, so a chunk bounds its memory near 0.5 MB
+# whatever B n is.
+_CHUNK = 4096
 
 
 def solve(p: Problem, cfg: SolverConfig = SolverConfig()) -> SolveResult:
@@ -398,44 +403,52 @@ def solve_many(
 
     def flush():
         # Evaluate and grade the block, pass each member its part, and
-        # return each member's count of false flags.  Matrix-vector
-        # products broadcast A over the step axis, which keeps each
-        # product a gemv with the bits of the one-step form.
+        # return each member's count of false flags.  The steps go in
+        # chunks of at most _CHUNK elements per (steps, B, n) array, which
+        # bounds the memory a flush holds; every kernel works per step, so
+        # the chunks change no bit.  Matrix-vector products broadcast A
+        # over the step axis, which keeps each product a gemv with the bits
+        # of the one-step form.
         nonlocal rows
         if not rows:
             return []
+        failed = 0
+        span = max(1, _CHUNK // xs[0, 0].size)
+        for begin in range(0, rows, span):
+            chunk = slice(begin, min(begin + span, rows))
+            written = block[chunk]
+            x, z = xs[:, chunk], zs[:, chunk]
+            dx, dz, y = dxs[chunk], dzs[chunk], ys[chunk]
+            np.add(x[0], dx, out=x[1])
+            np.add(z[0], dz, out=z[1])
+            w = _scaling(x, z, written["mu"][..., np.newaxis])
+            p = _p(w, r)
+            (written["gamma_before"], written["gamma"], written["min_w"],
+             written["eq115_slack"]) = _monitor_terms(w, p, p[0])
+            dx_s, dz_s, qw, written["dxTdz"] = _directions(w[0], x[0], z[0], dx, dz)
+            if curved:
+                gradient = c + np.matmul(Q, x[1, ..., np.newaxis])[..., 0]
+            else:
+                gradient = np.broadcast_to(c, dx.shape)
+            dual = np.matmul(A.transpose(0, 2, 1), y[..., np.newaxis])[..., 0] + z[1] - gradient
+            written["norm_pw"] = _norm(p[0])
+            written["norm_qw"] = _norm(qw)
+            written["dual_res"] = _norm(dual)
+            written["grad_norm"] = _norm(gradient)
+            written["kernel_defect"] = _norm(dx_s + dz_s - p[0])
+            written["primal_res"] = _norm(np.matmul(A, x[1, ..., np.newaxis])[..., 0] - b)
+            written["scaled_primal"] /= written["mu"]
+            graded = ("gamma_before", "gamma", "min_w", "eq115_slack", "norm_pw", "norm_qw",
+                      "dxTdz", "gap", "mu")
+            flags, written["contraction_bound"], written["gap_bound"], written["worst_margin"] = (
+                _grade(*(written[name] for name in graded), n, r)
+            )
+            for name, flag in zip(_FLAGS, flags):
+                written[name] = flag
+            failed = failed + np.count_nonzero(~flags, axis=(0, 1))
         written = block[:rows]
-        x, z = xs[:, :rows], zs[:, :rows]
-        dx, dz, y = dxs[:rows], dzs[:rows], ys[:rows]
-        np.add(x[0], dx, out=x[1])
-        np.add(z[0], dz, out=z[1])
-        w = _scaling(x, z, written["mu"][..., np.newaxis])
-        p = _p(w, r)
-        written["gamma_before"], written["gamma"], written["min_w"], written["eq115_slack"] = (
-            _monitor_terms(w, p, p[0])
-        )
-        dx_s, dz_s, qw, written["dxTdz"] = _directions(w[0], x[0], z[0], dx, dz)
-        if curved:
-            gradient = c + np.matmul(Q, x[1, ..., np.newaxis])[..., 0]
-        else:
-            gradient = np.broadcast_to(c, dx.shape)
-        dual = np.matmul(A.transpose(0, 2, 1), y[..., np.newaxis])[..., 0] + z[1] - gradient
-        written["norm_pw"] = _norm(p[0])
-        written["norm_qw"] = _norm(qw)
-        written["dual_res"] = _norm(dual)
-        written["grad_norm"] = _norm(gradient)
-        written["kernel_defect"] = _norm(dx_s + dz_s - p[0])
-        written["primal_res"] = _norm(np.matmul(A, x[1, ..., np.newaxis])[..., 0] - b)
-        written["scaled_primal"] /= written["mu"]
-        graded = ("gamma_before", "gamma", "min_w", "eq115_slack", "norm_pw", "norm_qw",
-                  "dxTdz", "gap", "mu")
-        flags, written["contraction_bound"], written["gap_bound"], written["worst_margin"] = (
-            _grade(*(written[name] for name in graded), n, r)
-        )
-        for name, flag in zip(_FLAGS, flags):
-            written[name] = flag
         written["iteration"] = np.arange(steps - rows + 1, steps + 1)[:, np.newaxis]
-        failed = np.count_nonzero(~flags, axis=(0, 1)).tolist()
+        failed = failed.tolist()
         for k, i in enumerate(ids):
             violations[i] += failed[k]
             on_block(i, Trace(written[:, k]))
@@ -483,13 +496,13 @@ def solve_many(
         shrunk = mu * shrink
         column = shrunk[:, np.newaxis]
         w = _scaling(x, z, column)
-        scale, factors = _factor(*space, x, z)
+        inverse, conditions = _factor(*space, x, z)
         dx, dy, dz, a_dx, residual = _newton_step(
-            A, *space[:2], x, z, column * w * _p(w, r), scale, factors
+            A, *space[:2], x, z, column * w * _p(w, r), inverse
         )
         x_next, z_next = x + dx, z + dz
-        if not (max(residual) <= RESIDUAL_LIMIT and x_next.min() > 0.0 and z_next.min() > 0.0):
-            fine = np.array(residual) <= RESIDUAL_LIMIT
+        if not (residual.max() <= RESIDUAL_LIMIT and x_next.min() > 0.0 and z_next.min() > 0.0):
+            fine = residual <= RESIDUAL_LIMIT
             fine &= (x_next.min(axis=1) > 0.0) & (z_next.min(axis=1) > 0.0)
             flush()
             for k in np.flatnonzero(~fine):
@@ -507,7 +520,7 @@ def solve_many(
         # scaled_primal holds ||A dx|| until the block is graded.
         step = block[rows]
         step["mu"], step["gap"], step["scaled_primal"] = mu, gap, a_dx
-        step["step_residual"], step["condition"] = residual, [f[2] for f in factors]
+        step["step_residual"], step["condition"] = residual, conditions
         rows += 1
         settle = steps >= stop or not gap.min() > cfg.epsilon
         if rows == depth:

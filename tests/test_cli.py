@@ -1,6 +1,10 @@
 """Command-line surface: arguments, outputs, files, and exit codes."""
 
+import os
+import subprocess
+import sys
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -13,6 +17,8 @@ from lcco_ipm import (
     serialize_instance,
 )
 from lcco_ipm.cli import SWEEP_HEADER, _EXIT_BY_STATUS, main
+
+SRC = Path(__file__).resolve().parent.parent / "src"
 
 
 @pytest.fixture
@@ -290,6 +296,33 @@ class TestCheckAboveTheEnumerationCaps:
         assert main(["solve", str(path), "--check"]) == 0
         out = capsys.readouterr().out
         assert "reference: skipped (n=11 exceeds the enumeration limit)" in out
+
+
+class TestStartUp:
+    @pytest.mark.parametrize("n, m, objective", [(10, 5, "quadratic"), (12, 6, "linear")])
+    def test_solve_check_loads_no_scipy(self, tmp_path, n, m, objective):
+        # A fresh process solves and checks against its enumeration oracle
+        # without scipy: only the HiGHS check of an LP above n = 12 imports
+        # it.  This process cannot tell, as the test configuration loads it.
+        path = tmp_path / f"{objective}_{n}.lcco"
+        assert main(["generate", "--n", str(n), "--m", str(m), "--objective",
+                     objective, "--seed", "3", "--out", str(path)]) == 0
+        script = (
+            "import sys\n"
+            "from lcco_ipm.cli import main\n"
+            f"code = main(['solve', {str(path)!r}, '--r', '1', '--check'])\n"
+            "print(sorted(name for name in sys.modules if name.startswith('scipy')))\n"
+            "sys.exit(code)\n"
+        )
+        path_entries = [str(SRC), *filter(None, [os.environ.get("PYTHONPATH")])]
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(path_entries))
+        done = subprocess.run(
+            [sys.executable, "-c", script], capture_output=True, text=True, env=env, timeout=300
+        )
+        assert done.returncode == 0, done.stderr
+        lines = done.stdout.splitlines()
+        assert any(line.startswith("reference (") and line.endswith("-> agree") for line in lines)
+        assert lines[-1] == "[]"
 
 
 class TestSweep:

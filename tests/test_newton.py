@@ -1,8 +1,9 @@
-"""Step equations: assembly, factorization, and solve accuracy.
+"""Step equations: assembly, inversion, grading, and solve accuracy.
 
 The small hand instance and two n = 8 quadratic ones are graded against a
 dense np.linalg.solve of the full saddle system, which is an independent
-path around the package's null-space factorization.
+path around the package's null-space inverse.  The condition that gates
+each step is checked against np.linalg.cond and LAPACK's gecon estimate.
 """
 
 import dataclasses
@@ -12,6 +13,7 @@ import warnings
 import numpy as np
 import pytest
 from scipy.linalg import solve_triangular
+from scipy.linalg.lapack import dgecon, dgetrf
 
 from lcco_ipm import (
     SINGULAR_CONDITION,
@@ -153,6 +155,54 @@ class TestFactorization:
         step = newton_step(p, state, 1)
         assert 1.0 <= step.condition < 1e8
 
+    @pytest.mark.parametrize("seed", [51, 52])
+    def test_condition_is_the_exact_one_norm_condition(self, seed):
+        # x and z spread over e^10, so the equilibrated G, not cond(A)^2,
+        # sets the condition.  gecon only estimates the same quantity from
+        # below, so the gate is never looser than one graded by gecon.
+        p = generate_instance(10, 4, "quadratic", seed)
+        rng = np.random.default_rng(seed)
+        x, z = np.exp(rng.uniform(-5.0, 5.0, (2, 10)))
+        step = newton_step(p, IterateState.from_point(x, p.start.y0, z, 1.0), 1)
+        basis, _, reduced, grade = newton._null_space(p.A[np.newaxis], p.objective.Q[np.newaxis])
+        null = basis[0, :10]
+        G = reduced[0] + null.T @ np.diag(z / x) @ null
+        scale = 1.0 / np.sqrt(np.abs(G).max(axis=1))
+        equilibrated = scale[:, np.newaxis] * G * scale
+        exact = np.linalg.cond(equilibrated, 1)
+        assert grade[0] < exact
+        assert step.condition == pytest.approx(exact, rel=1e-12)
+        lu, _, info = dgetrf(equilibrated)
+        rcond, info_con = dgecon(lu, np.abs(equilibrated).sum(axis=0).max())
+        assert info == info_con == 0
+        assert step.condition >= (1.0 - 1e-12) / rcond
+
+    def test_an_exactly_singular_member_leaves_the_others_bit_identical(self):
+        # With H = 0 and z = 0, G is exactly zero, so the stacked inverse
+        # fails and the members are inverted one by one.  The singular one
+        # is rejected, with a NaN inverse and an infinite residual; the
+        # others keep the bits of their solo `_factor` calls.
+        problems = [generate_instance(8, 4, "linear", seed) for seed in (41, 42, 43)]
+        A = np.array([p.A for p in problems])
+        hessian = np.zeros((3, 8, 8))
+        x, z = (np.array([getattr(p.start, key) for p in problems]) for key in ("x0", "z0"))
+        z[1] = 0.0
+        space = newton._null_space(A, hessian)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            inverse, conditions = newton._factor(*space, x, z)
+            residual = newton._newton_step(A, *space[:2], x, z, 0.1 * x, inverse)[4]
+        assert isinstance(conditions[1], NumericalError)
+        assert "singular" in str(conditions[1])
+        assert np.isnan(inverse[1]).all()
+        assert residual[1] == math.inf
+        for b in (0, 2):
+            solo = newton._null_space(A[b : b + 1], hessian[b : b + 1])
+            solo_inverse, (solo_condition,) = newton._factor(*solo, x[b : b + 1], z[b : b + 1])
+            assert inverse[b].tobytes() == solo_inverse[0].tobytes()
+            assert conditions[b] == solo_condition
+            assert residual[b] < 1e-12
+
     def test_dependent_rows_raise(self):
         p = Problem(
             A=[[1.0, 1.0], [1.0, 1.0]],
@@ -164,7 +214,7 @@ class TestFactorization:
             newton_step(p, state, 1)
 
     def test_exactly_singular_system_raises_without_a_warning(self):
-        # Identical rows of A leave an exact zero pivot in the LU factors.
+        # Identical rows of A give R an exact zero on its diagonal.
         p = Problem(
             A=[[1.0, 1.0], [1.0, 1.0]],
             b=[2.0, 2.0],

@@ -135,17 +135,17 @@ class TestConfig:
 class TestConvergedRuns:
     def test_reference_run_regression_anchor(self):
         # Deterministic end to end; these literals are frozen outputs of
-        # the null-space step solver.  The approx asserts pin the answer of
-        # the earlier LDL' solver; the full-system LU solver between them
-        # differed from both only in the last digits.
+        # the null-space step solver with its batched inverse.  The approx
+        # asserts pin the answer of the earlier LDL' solver; the LU solvers
+        # between them differed from both only in the last digits.
         p = generate_instance(4, 2, "linear", 7)
         result = solve(p, SolverConfig(epsilon=1e-6, r=1))
         gamma_max = max(rec.gamma for rec in result.trace)
         assert result.status == "converged"
         assert result.iterations == 217
         assert result.bound == 225
-        assert result.gap_final == 9.962801229252331e-07
-        assert gamma_max == 0.002247196997541044
+        assert result.gap_final == 9.962801229252333e-07
+        assert gamma_max == 0.002247196997541143
         assert result.gap_final == pytest.approx(9.9628012292523335e-07, rel=1e-13)
         assert gamma_max == pytest.approx(0.0022471969975410458, rel=1e-13)
         assert result.monitor_violations == 0
