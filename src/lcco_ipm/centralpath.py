@@ -23,7 +23,8 @@ once per step on a stack of already-checked iterates, and all of them
 once per block of steps, on a stack with a leading step axis.  The
 one-member functions (`IterateState`, `scaled_directions` and
 `monitor_step`) stay as the checked reference the tests rebuild that
-loop from, one step at a time.
+loop from, one step at a time; `scaled_directions` always checks the
+identities every correct step satisfies.
 """
 
 from __future__ import annotations
@@ -117,10 +118,6 @@ def _p(w: np.ndarray, r: int) -> np.ndarray:
     return (2.0 - 2.0 * w**r) / (r * w ** (r - 1))
 
 
-def _proximity(w: np.ndarray, r: int) -> np.ndarray:
-    return 0.5 * _norm(_p(w, r))
-
-
 def scaling_vector(x, z, mu: float) -> np.ndarray:
     """Componentwise w = sqrt(x z / mu); the all-ones vector on the mu-center.
 
@@ -158,7 +155,7 @@ def proximity(x, z, mu: float, r: int) -> float:
     """
     w = scaling_vector(x, z, mu)
     r = _checked_power(r)
-    return float(_proximity(_interior_vector(w, "w"), r))
+    return float(0.5 * _norm(_p(_interior_vector(w, "w"), r)))
 
 
 @dataclass(frozen=True)
@@ -223,16 +220,12 @@ def _directions(w, x, z, dx_full, dz_full):
     return dx, dz, dx - dz, _dot(dx, dz)
 
 
-def scaled_directions(
-    step: "NewtonStep", state: IterateState, r: int, *, check: bool = True
-) -> ScaledDirections:
+def scaled_directions(step: "NewtonStep", state: IterateState, r: int) -> ScaledDirections:
     """Map a Newton step, computed at `state`, into scaled space.
 
     dx = w dx_full / x, dz = w dz_full / z, pw = p_w and qw = dx - dz.
-    With check (the default), raise DirectionError if any of the
-    identities dx + dz = p_w (within 1e-10), dxTdz >= -1e-10 or
-    ||pw|| >= ||qw|| - 1e-10 fails; with check=False the directions are
-    returned as they are, for the advisory monitors to grade.
+    Raises DirectionError if any of the identities dx + dz = p_w (within
+    1e-10), dxTdz >= -1e-10 or ||pw|| >= ||qw|| - 1e-10 fails.
     """
     r = _checked_power(r)
     if step.dx_full.shape != state.x.shape or step.dz_full.shape != state.z.shape:
@@ -240,17 +233,14 @@ def scaled_directions(
     pw = _p(state.w, r)
     dx, dz, qw, dxTdz = _directions(state.w, state.x, state.z, step.dx_full, step.dz_full)
     dxTdz = float(dxTdz)
-    if check:
-        defect = float(_norm(dx + dz - pw))
-        if defect > _IDENTITY_TOL:
-            raise DirectionError(
-                f"dx + dz deviates from the kernel by {defect:.3e}"
-            )
-        if dxTdz < -_IDENTITY_TOL:
-            raise DirectionError(f"dx'dz = {dxTdz:.3e} is negative")
-        gap = float(_norm(pw) - _norm(qw))
-        if gap < -_IDENTITY_TOL:
-            raise DirectionError(f"||qw|| exceeds ||pw|| by {-gap:.3e}")
+    defect = float(_norm(dx + dz - pw))
+    if defect > _IDENTITY_TOL:
+        raise DirectionError(f"dx + dz deviates from the kernel by {defect:.3e}")
+    if dxTdz < -_IDENTITY_TOL:
+        raise DirectionError(f"dx'dz = {dxTdz:.3e} is negative")
+    gap = float(_norm(pw) - _norm(qw))
+    if gap < -_IDENTITY_TOL:
+        raise DirectionError(f"||qw|| exceeds ||pw|| by {-gap:.3e}")
     for arr in (dx, dz, pw, qw):
         arr.setflags(write=False)
     return ScaledDirections(dx=dx, dz=dz, pw=pw, qw=qw, dxTdz=dxTdz)

@@ -11,7 +11,6 @@ from __future__ import annotations
 import argparse
 import math
 import sys
-from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -28,7 +27,7 @@ from .verifier import (
     reference_solve_qp,
 )
 
-__all__ = ["SweepRow", "build_parser", "main", "run_generate", "run_solve", "run_sweep"]
+__all__ = ["build_parser", "main", "run_generate", "run_solve", "run_sweep"]
 
 SWEEP_HEADER = "r,theta,iterations,bound,final_gap,max_gamma,monitor_violations,status"
 
@@ -38,34 +37,6 @@ _EXIT_BY_STATUS = {
     "numerical_failure": 3,
     "iteration_cap": 4,
 }
-
-
-@dataclass(frozen=True)
-class SweepRow:
-    """One line of the sweep table: outcome of solving at a single r."""
-
-    r: int
-    theta: float
-    iterations: int
-    bound: int
-    final_gap: float
-    max_gamma: float
-    monitor_violations: int
-    status: str
-
-    def to_csv(self) -> str:
-        return ",".join(
-            [
-                str(self.r),
-                format(self.theta, ".17g"),
-                str(self.iterations),
-                str(self.bound),
-                format(self.final_gap, ".17g"),
-                format(self.max_gamma, ".17g"),
-                str(self.monitor_violations),
-                self.status,
-            ]
-        )
 
 
 class _UsageError(Exception):
@@ -333,29 +304,22 @@ def run_sweep(args) -> int:
     configs = [_build_config(args, r) for r in range(1, args.r_max + 1)]
     results = [solve(problem, cfg) for cfg in configs]
     rows = [
-        SweepRow(
-            r=cfg.r,
-            theta=cfg.resolved_theta(problem.n),
-            iterations=result.iterations,
-            bound=result.bound,
-            final_gap=result.gap_final,
-            max_gamma=_max_gamma(result),
-            monitor_violations=result.monitor_violations,
-            status=result.status,
-        )
+        f"{cfg.r},{cfg.resolved_theta(problem.n):.17g},{result.iterations},{result.bound},"
+        f"{result.gap_final:.17g},{_max_gamma(result):.17g},{result.monitor_violations},"
+        f"{result.status}"
         for cfg, result in zip(configs, results)
     ]
-    csv_text = "\n".join([SWEEP_HEADER, *(row.to_csv() for row in rows)]) + "\n"
     try:
-        Path(args.out).write_text(csv_text)
+        Path(args.out).write_text("\n".join([SWEEP_HEADER, *rows]) + "\n")
     except OSError as exc:
         raise _UsageError(f"cannot write {args.out}: {exc}") from None
-    best = min(rows, key=lambda row: (row.iterations, row.r))
+    iterations = [result.iterations for result in results]
+    best = iterations.index(min(iterations))  # the smallest r among ties
     print(f"wrote {args.out}: {len(rows)} rows")
-    print(f"fewest iterations at r={best.r} ({best.iterations} iterations)")
-    for row in rows:
-        if row.status != "converged":
-            return _EXIT_BY_STATUS[row.status]
+    print(f"fewest iterations at r={configs[best].r} ({iterations[best]} iterations)")
+    for result in results:
+        if result.status != "converged":
+            return _EXIT_BY_STATUS[result.status]
     return 0
 
 

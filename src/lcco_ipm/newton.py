@@ -19,16 +19,17 @@ constant (f is linear or quadratic), so the solver's `_null_space` takes
 the QR factorization, N'HN, [N; HN] and (A')^+ once per solve.
 
 It also grades A there: a zero on the diagonal of R (dependent rows) is
-singular, and cond(A)^2, from the singular values of R, is the floor of
-every step's condition.  Each step `_factor` equilibrates G symmetrically,
-G_eq = S G S, and inverts all members' G_eq in one batched LAPACK call
-(np.linalg.inv, an LU with partial pivoting per member).  With the
-inverse at hand the condition is exact: ||G_eq||_1 ||G_eq^-1||_1, where
-LAPACK gecon would only estimate it from below.  So the gate, which fails
-a step past SINGULAR_CONDITION on the larger of the floor and that
-condition, is never looser than one graded by gecon.  If some member's
-G_eq has an exact zero pivot, the batched call fails as a whole; the
-members are then inverted one by one, and the singular ones rejected.
+singular, and cond(A)^2, from the singular values of R (one stacked SVD
+over the members), is the floor of every step's condition.  Each step
+`_factor` equilibrates G symmetrically, G_eq = S G S, and inverts all
+members' G_eq in one batched LAPACK call (np.linalg.inv, an LU with
+partial pivoting per member).  With the inverse at hand the condition is
+exact: ||G_eq||_1 ||G_eq^-1||_1, where LAPACK gecon would only estimate
+it from below.  So the gate, which fails a step past SINGULAR_CONDITION
+on the larger of the floor and that condition, is never looser than one
+graded by gecon.  If some member's G_eq has an exact zero pivot, the
+batched call fails as a whole; the members are then inverted one by
+one, and the singular ones rejected.
 v = W N'(h/x), with W = S G_eq^-1 S = G^-1, and one pass of iterative
 refinement: the residual h/x - M dx against the unscaled M, projected by
 N', mapped by the same W.  No regularization is applied: the monitors
@@ -119,14 +120,15 @@ def _null_space(A: np.ndarray, hessian: np.ndarray):
         finite = np.isfinite(R).all(axis=(1, 2))
         full = finite & np.diagonal(R, axis1=1, axis2=2).all(axis=1)
         grade[~finite] = math.nan
-        for b in np.flatnonzero(full):
-            singular_values = np.linalg.svd(R[b], compute_uv=False)
-            with np.errstate(divide="ignore", over="ignore"):
-                grade[b] = (singular_values[0] / singular_values[-1]) ** 2
-        # R^-1 Y' by one LAPACK gesv over the members: with R triangular its
-        # LU is R itself, so the bits are those of a triangular solve, and
-        # the call does not stall the way scipy's threaded trsm does.
         if full.any():
+            # One gesdd per member; the square goes through libm pow, as a
+            # scalar's ** does, where an array's ** 2 multiplies.
+            singular_values = np.linalg.svd(R[full], compute_uv=False)
+            with np.errstate(divide="ignore", over="ignore"):
+                grade[full] = np.float_power(singular_values[:, 0] / singular_values[:, -1], 2.0)
+            # R^-1 Y' by one LAPACK gesv over the members: with R triangular
+            # its LU is R itself, so the bits are those of a triangular solve,
+            # and the call does not stall the way scipy's threaded trsm does.
             projector[full, k:] = np.linalg.solve(R[full], q[full, :, :m].transpose(0, 2, 1))
     reduced = projector[:, :k] @ product
     return np.concatenate([null, product], axis=1), projector, reduced, grade

@@ -1,11 +1,11 @@
 """Problem data, objective oracles, the LCCO-v1 text format, and a generator.
 
 A problem is min f(x) subject to A x = b, x >= 0, with A full row rank and
-f convex and twice differentiable.  Two objective families are built in
-(linear and convex quadratic); the oracle interface is a plain
-(value, gradient, hessian) triple, so callers can wire in other
-twice-differentiable convex objectives by constructing an ObjectiveSpec
-subclass-alike with the same `evaluate` shape.
+f one of the two families `ObjectiveSpec` holds: linear or convex
+quadratic.  The solver handles only those two: it takes the Hessian H from
+`evaluate` once per solve, as constant, and each gradient as c + H x from
+`objective.c` (H = 0 for kind linear), so it would solve any other
+objective behind a look-alike `evaluate` wrongly.
 
 The generator certifies its own starting points: it picks x0 = z0 = e and
 back-solves the dual equation for c, which puts the start exactly on the
@@ -345,10 +345,6 @@ def generate_instance(n: int, m: int, kind: str, seed: int) -> Problem:
 _TOKEN = re.compile(r"\S+")
 
 
-def _tokens(raw: str) -> list[tuple[str, int]]:
-    return [(match.group(), match.start() + 1) for match in _TOKEN.finditer(raw)]
-
-
 class _Lines:
     """Cursor over the significant lines of an instance file."""
 
@@ -368,16 +364,16 @@ class _Lines:
     def exhausted(self) -> bool:
         return self._pos >= len(self._rows)
 
-    def take(self, expected: str) -> tuple[int, str]:
+    def take(self, expected: str) -> tuple[int, list[tuple[str, int]]]:
+        """The next line's number and its (text, column) tokens, of which it has one or more."""
         if self.exhausted:
             raise ParseError(f"unexpected end of input, expected {expected}", self._end_line, 1)
-        row = self._rows[self._pos]
+        number, raw = self._rows[self._pos]
         self._pos += 1
-        return row
+        return number, [(match.group(), match.start() + 1) for match in _TOKEN.finditer(raw)]
 
 
-def _numbers(lineno: int, raw: str, count: int, what: str) -> np.ndarray:
-    toks = _tokens(raw)
+def _numbers(lineno: int, toks: list[tuple[str, int]], count: int, what: str) -> np.ndarray:
     if len(toks) != count:
         column = toks[count][1] if len(toks) > count else 1
         raise ParseError(
@@ -396,10 +392,9 @@ def _numbers(lineno: int, raw: str, count: int, what: str) -> np.ndarray:
 
 
 def _keyword_value(lines: _Lines, keyword: str) -> tuple[int, str, int]:
-    lineno, raw = lines.take(f"'{keyword} <value>'")
-    toks = _tokens(raw)
-    if not toks or toks[0][0] != keyword:
-        raise ParseError(f"expected keyword {keyword!r}", lineno, toks[0][1] if toks else 1)
+    lineno, toks = lines.take(f"'{keyword} <value>'")
+    if toks[0][0] != keyword:
+        raise ParseError(f"expected keyword {keyword!r}", lineno, toks[0][1])
     if len(toks) != 2:
         column = toks[2][1] if len(toks) > 2 else toks[0][1]
         raise ParseError(f"expected exactly one value after {keyword!r}", lineno, column)
@@ -418,10 +413,9 @@ def _keyword_int(lines: _Lines, keyword: str) -> int:
 
 
 def _bare_keyword(lines: _Lines, keyword: str) -> None:
-    lineno, raw = lines.take(f"'{keyword}'")
-    toks = _tokens(raw)
+    lineno, toks = lines.take(f"'{keyword}'")
     if len(toks) != 1 or toks[0][0] != keyword:
-        raise ParseError(f"expected keyword {keyword!r}", lineno, toks[0][1] if toks else 1)
+        raise ParseError(f"expected keyword {keyword!r}", lineno, toks[0][1])
 
 
 def _matrix(lines: _Lines, rows: int, cols: int, what: str) -> np.ndarray:
@@ -429,19 +423,16 @@ def _matrix(lines: _Lines, rows: int, cols: int, what: str) -> np.ndarray:
     # shape fails on its first short row instead of allocating up front.
     parsed = []
     for i in range(rows):
-        lineno, raw = lines.take(f"row {i + 1} of {what}")
-        parsed.append(_numbers(lineno, raw, cols, f"row {i + 1} of {what}"))
+        lineno, toks = lines.take(f"row {i + 1} of {what}")
+        parsed.append(_numbers(lineno, toks, cols, f"row {i + 1} of {what}"))
     return np.array(parsed)
 
 
 def _labelled_row(lines: _Lines, label: str, count: int) -> np.ndarray:
-    lineno, raw = lines.take(f"'{label} <{count} numbers>'")
-    toks = _tokens(raw)
-    if not toks or toks[0][0] != label:
-        raise ParseError(f"expected start row {label!r}", lineno, toks[0][1] if toks else 1)
-    rest = raw[toks[0][1] - 1 + len(label):]
-    padded = " " * (toks[0][1] + len(label) - 1) + rest
-    return _numbers(lineno, padded, count, f"start row {label!r}")
+    lineno, toks = lines.take(f"'{label} <{count} numbers>'")
+    if toks[0][0] != label:
+        raise ParseError(f"expected start row {label!r}", lineno, toks[0][1])
+    return _numbers(lineno, toks[1:], count, f"start row {label!r}")
 
 
 def parse_instance(text: str) -> Problem:
@@ -452,31 +443,27 @@ def parse_instance(text: str) -> Problem:
     Both are ValueError subclasses.
     """
     lines = _Lines(text)
-    lineno, raw = lines.take("header 'LCCO 1'")
-    toks = _tokens(raw)
+    lineno, toks = lines.take("header 'LCCO 1'")
     if [t for t, _ in toks] != ["LCCO", "1"]:
-        raise ParseError("expected header 'LCCO 1'", lineno, toks[0][1] if toks else 1)
+        raise ParseError("expected header 'LCCO 1'", lineno, toks[0][1])
     n = _keyword_int(lines, "n")
     m = _keyword_int(lines, "m")
     _bare_keyword(lines, "A")
     a = _matrix(lines, m, n, "A")
     _bare_keyword(lines, "b")
-    blineno, braw = lines.take("b values")
-    b = _numbers(blineno, braw, m, "b")
+    b = _numbers(*lines.take("b values"), m, "b")
     lineno, kind, column = _keyword_value(lines, "objective")
     if kind not in ("linear", "quadratic"):
         raise ParseError(f"unknown objective kind {kind!r}", lineno, column)
     _bare_keyword(lines, "c")
-    clineno, craw = lines.take("c values")
-    c = _numbers(clineno, craw, n, "c")
+    c = _numbers(*lines.take("c values"), n, "c")
     q = None
     if kind == "quadratic":
         _bare_keyword(lines, "Q")
         q = _matrix(lines, n, n, "Q")
     start = None
     if not lines.exhausted:
-        lineno, raw = lines.take("'start'")
-        toks = _tokens(raw)
+        lineno, toks = lines.take("'start'")
         if len(toks) != 1 or toks[0][0] != "start":
             raise ParseError("expected 'start' or end of input", lineno, toks[0][1])
         start = StartPoint(
@@ -485,9 +472,8 @@ def parse_instance(text: str) -> Problem:
             z0=_labelled_row(lines, "z", n),
         )
     if not lines.exhausted:
-        lineno, raw = lines.take("end of input")
-        toks = _tokens(raw)
-        raise ParseError("unexpected trailing content", lineno, toks[0][1] if toks else 1)
+        lineno, toks = lines.take("end of input")
+        raise ParseError("unexpected trailing content", lineno, toks[0][1])
     objective = ObjectiveSpec(kind=kind, c=c, Q=q)
     return Problem(A=a, b=b, objective=objective, start=start).validate()
 

@@ -62,14 +62,18 @@ TRACE_HEADER = (
 )
 
 
-def default_theta(n: int, r: int) -> float:
-    """Barrier update factor 1/(e^(2r) sqrt(n)) behind the iteration bound."""
-    r = _checked_power(r)
+def _checked_size(n: int) -> int:
     if not isinstance(n, (int, np.integer)) or isinstance(n, bool):
         raise TypeError("n must be an integer")
     if n < 2:
         raise ValueError(f"need n >= 2, got {n}")
-    return 1.0 / (math.exp(2.0 * r) * math.sqrt(n))
+    return n
+
+
+def default_theta(n: int, r: int) -> float:
+    """Barrier update factor 1/(e^(2r) sqrt(n)) behind the iteration bound."""
+    r = _checked_power(r)
+    return 1.0 / (math.exp(2.0 * r) * math.sqrt(_checked_size(n)))
 
 
 def gamma_threshold(r: int) -> float:
@@ -82,21 +86,24 @@ def iteration_bound(mu0: float, n: int, r: int, epsilon: float) -> int:
 
     ceil(e^(2r) sqrt(n) ln(mu0 (n + (r-1)^2/e^(2r)) / epsilon)), in the
     natural logarithm, or 0 when the argument of the log is at most 1
-    (the start already meets the target).
+    (the start already meets the target).  Where the argument overflows,
+    its log is taken as the sum of the logs of its factors.
     """
     r = _checked_power(r)
-    if not isinstance(n, (int, np.integer)) or isinstance(n, bool):
-        raise TypeError("n must be an integer")
-    if n < 2:
-        raise ValueError(f"need n >= 2, got {n}")
+    n = _checked_size(n)
     if not (math.isfinite(mu0) and mu0 > 0.0):
         raise ValueError(f"mu0 must be finite and positive, got {mu0}")
     if not (math.isfinite(epsilon) and epsilon > 0.0):
         raise ValueError(f"epsilon must be finite and positive, got {epsilon}")
-    argument = mu0 * (n + (r - 1) ** 2 * math.exp(-2.0 * r)) / epsilon
+    ceiling = n + (r - 1) ** 2 * math.exp(-2.0 * r)
+    argument = mu0 * ceiling / epsilon
     if argument <= 1.0:
         return 0
-    return math.ceil(math.exp(2.0 * r) * math.sqrt(n) * math.log(argument))
+    if argument == math.inf:
+        log = math.log(mu0) + math.log(ceiling) - math.log(epsilon)
+    else:
+        log = math.log(argument)
+    return math.ceil(math.exp(2.0 * r) * math.sqrt(n) * log)
 
 
 @dataclass(frozen=True)
@@ -384,12 +391,10 @@ def solve_many(
     hessian = np.array([problems[i].objective.evaluate(x[k])[2] for k, i in enumerate(ids)])
     space = _null_space(A, hessian)  # the Hessian of f is constant
     # The gradient is c + Q x, as ObjectiveSpec.evaluate has it, with Q = 0
-    # for a linear objective; a batch of linear ones skips the product.
-    linear = np.array([problems[i].objective.kind == "linear" for i in ids])
+    # for a linear objective.
     c = np.array([problems[i].objective.c for i in ids])
-    curved = not linear.all()
     Q = hessian
-    Q[linear] = 0.0
+    Q[[problems[i].objective.kind == "linear" for i in ids]] = 0.0
     parts = [[] for _ in problems]
     if on_block is None:
 
@@ -426,10 +431,7 @@ def solve_many(
             (written["gamma_before"], written["gamma"], written["min_w"],
              written["eq115_slack"]) = _monitor_terms(w, p, p[0])
             dx_s, dz_s, qw, written["dxTdz"] = _directions(w[0], x[0], z[0], dx, dz)
-            if curved:
-                gradient = c + np.matmul(Q, x[1, ..., np.newaxis])[..., 0]
-            else:
-                gradient = np.broadcast_to(c, dx.shape)
+            gradient = c + np.matmul(Q, x[1, ..., np.newaxis])[..., 0]
             dual = np.matmul(A.transpose(0, 2, 1), y[..., np.newaxis])[..., 0] + z[1] - gradient
             written["norm_pw"] = _norm(p[0])
             written["norm_qw"] = _norm(qw)

@@ -12,13 +12,25 @@ import pytest
 from lcco_ipm import (
     ObjectiveSpec,
     Problem,
+    SolverConfig,
     StartPoint,
     TRACE_HEADER,
+    parse_instance,
     serialize_instance,
+    solve,
 )
 from lcco_ipm.cli import SWEEP_HEADER, _EXIT_BY_STATUS, main
 
 SRC = Path(__file__).resolve().parent.parent / "src"
+
+
+def run_fresh(args):
+    """Run Python with args in a fresh process that imports this src."""
+    path_entries = [str(SRC), *filter(None, [os.environ.get("PYTHONPATH")])]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(path_entries))
+    return subprocess.run(
+        [sys.executable, *args], capture_output=True, text=True, env=env, timeout=300
+    )
 
 
 @pytest.fixture
@@ -161,6 +173,24 @@ class TestExitCodes:
     def test_iteration_cap_exits_four(self, instance_path, capsys):
         assert main(["solve", str(instance_path), "--max-iter", "1"]) == 4
         assert "status: iteration_cap" in capsys.readouterr().out
+
+    def test_bound_whose_log_argument_overflows_prints_no_traceback(self, tmp_path):
+        # mu0 = x0'z0 / n = 1e30 and eps = 1e-300: mu0 n / eps overflows.  A
+        # fresh process shows every warning on stderr.
+        p = Problem(
+            A=[[1.0, 1.0]],
+            b=[2e15],
+            objective=ObjectiveSpec.linear([1e15, 1e15]),
+            start=StartPoint(x0=[1e15, 1e15], y0=[0.0], z0=[1e15, 1e15]),
+        )
+        path = tmp_path / "huge_gap.lcco"
+        path.write_text(serialize_instance(p))
+        done = run_fresh(
+            ["-m", "lcco_ipm.cli", "solve", str(path), "--eps", "1e-300", "--max-iter", "1"]
+        )
+        assert done.returncode == 4
+        assert done.stderr == ""
+        assert "(theoretical bound 7948, cap 1)" in done.stdout
 
 
 class TestGenerate:
@@ -314,11 +344,7 @@ class TestStartUp:
             "print(sorted(name for name in sys.modules if name.startswith('scipy')))\n"
             "sys.exit(code)\n"
         )
-        path_entries = [str(SRC), *filter(None, [os.environ.get("PYTHONPATH")])]
-        env = dict(os.environ, PYTHONPATH=os.pathsep.join(path_entries))
-        done = subprocess.run(
-            [sys.executable, "-c", script], capture_output=True, text=True, env=env, timeout=300
-        )
+        done = run_fresh(["-c", script])
         assert done.returncode == 0, done.stderr
         lines = done.stdout.splitlines()
         assert any(line.startswith("reference (") and line.endswith("-> agree") for line in lines)
@@ -348,6 +374,17 @@ class TestSweep:
         assert all(row[7] == "converged" for row in rows)
         for row in rows:
             assert int(row[2]) <= int(row[3])
+        # Each row is its solo solve's outcome: floats with 17 significant
+        # digits, and max_gamma 0.0 for an empty trace.
+        problem = parse_instance(instance_path.read_text())
+        for r, line in enumerate(lines[1:], start=1):
+            cfg = SolverConfig(r=r)
+            result = solve(problem, cfg)
+            max_gamma = max(result.trace.gamma.tolist(), default=0.0)
+            fields = [r, format(cfg.resolved_theta(problem.n), ".17g"), result.iterations,
+                      result.bound, format(result.gap_final, ".17g"), format(max_gamma, ".17g"),
+                      result.monitor_violations, result.status]
+            assert line == ",".join(map(str, fields))
 
     def test_failed_rows_propagate_their_exit_code(self, tmp_path):
         path = write_bad_start(tmp_path)
@@ -359,6 +396,7 @@ class TestSweep:
         lines = out_path.read_text().splitlines()
         assert len(lines) == 3
         assert all(line.split(",")[7] == "invalid_start" for line in lines[1:])
+        assert all(line.split(",")[5] == "0" for line in lines[1:])  # no trace, max_gamma 0.0
 
 
 class TestRoundTrip:

@@ -122,20 +122,33 @@ class TestFactorization:
         # whose LU of a triangular R is R itself; scipy's trsm and trtrs are
         # threaded by OpenBLAS at these sizes and stall for milliseconds.
         # LAPACK trtrs, behind solve_triangular, is the reference its bits
-        # must equal.  A member with a zero row, dependent, sits in the
-        # stack; it gets no pseudo-inverse and is graded singular.
+        # must equal.  The grade of a full-rank member has the bits of one
+        # SVD of its R.  A member with a zero row, dependent, sits in the
+        # stack; it gets no pseudo-inverse and is graded singular.  So does
+        # one with a NaN entry, graded NaN.  The last member has cond(A) =
+        # 1.0204 where m > 1, whose square by one multiply differs in the
+        # last bit from libm pow's (x86-64 glibc); a scalar's ** takes pow.
+        # Its R is diagonal, where gesv and trtrs give zeros of either sign.
         problems = [generate_instance(n, m, "quadratic", seed) for seed in (1, 2, 3)]
         dependent = problems[0].A.copy()
         dependent[0] = 0.0
-        A = np.array([problems[0].A, dependent, problems[1].A, problems[2].A])
-        hessian = np.array([p.objective.Q for p in (problems[0], *problems)])
+        broken = problems[1].A.copy()
+        broken[-1, 0] = math.nan
+        diagonal = np.eye(m, n)
+        diagonal[0, 0] = 1.0204
+        A = np.array([problems[0].A, dependent, problems[1].A, problems[2].A, broken, diagonal])
+        hessian = np.array([p.objective.Q for p in (problems[0], *problems, *problems[1:])])
         _, projector, _, grade = newton._null_space(A, hessian)
         q, r = np.linalg.qr(A.transpose(0, 2, 1), mode="complete")
         for b in (0, 2, 3):
             want = solve_triangular(r[b, :m], q[b, :, :m].T)
             assert projector[b, n - m:].tobytes() == want.tobytes()
+        for b in (0, 2, 3, 5):
+            s = np.linalg.svd(r[b, :m], compute_uv=False)
+            assert grade[b].tobytes() == ((s[0] / s[-1]) ** 2).tobytes()
         assert grade[1] == math.inf
-        assert not projector[1, n - m:].any()
+        assert math.isnan(grade[4])
+        assert not projector[[1, 4], n - m:].any()
 
     @pytest.mark.parametrize("seed", [21, 22])
     def test_step_matches_a_dense_solve_at_n_8(self, seed):
