@@ -29,17 +29,24 @@ it from below.  So the gate, which fails a step past SINGULAR_CONDITION
 on the larger of the floor and that condition, is never looser than one
 graded by gecon.  If some member's G_eq has an exact zero pivot, the
 batched call fails as a whole; the members are then inverted one by
-one, and the singular ones rejected.
+one, and the singular ones get an infinite condition.
 v = W N'(h/x), with W = S G_eq^-1 S = G^-1, and one pass of iterative
 refinement: the residual h/x - M dx against the unscaled M, projected by
 N', mapped by the same W.  No regularization is applied: the monitors
 downstream must grade the true Newton step, so a near-singular system is
-reported as a failure instead of being nudged.  `solve_many` calls
-`_null_space`, `_factor` and `_newton_step` on stacks of already-checked
-iterates; each call serves the whole stack, and each member keeps its
-own gates.  `newton_step` checks one iterate and makes the same three
-calls on one-member stacks, so the public step and the loop share one
-path.
+reported as a failure instead of being nudged.
+
+Computing a step and checking it are separate kernels.  `_factor`
+returns each member's condition as a float and `_newton_step` returns
+dx, dy, dz and H dx, unchecked.  `_verify` then gives ||A dx|| and the
+worst relative residual of the three step equations, over any leading
+axes.  `solve_many` calls `_null_space` once, and `_factor` and
+`_newton_step` every step, on (B, .) stacks of iterates; it runs
+`_verify` and the gates once per block of steps, over a (steps, B, .)
+stack, and each member keeps its own gates.  `newton_step` checks one
+iterate and makes the same four calls on one-member stacks, then raises
+NumericalError for a condition past SINGULAR_CONDITION or a residual
+past RESIDUAL_LIMIT, so the public step and the loop share one path.
 """
 
 from __future__ import annotations
@@ -137,10 +144,13 @@ def _null_space(A: np.ndarray, hessian: np.ndarray):
 def _factor(basis, projector, reduced, grade, x: np.ndarray, z: np.ndarray):
     """Build G = N'HN + N' diag(z/x) N for each member, grade it and invert it.
 
-    Returns each member's W = S G_eq^-1 S = G^-1 and its condition (a
-    float), or the NumericalError that rejects its system.  A rejected
-    member's W is NaN, so its step cannot pass the residual gate.  grade
-    is cond(A)^2, the floor of the condition.
+    Returns each member's W = S G_eq^-1 S = G^-1 and its condition as a
+    float array: the larger of grade, which is cond(A)^2, and the exact
+    1-norm condition of G_eq.  That is inf where G_eq has an exact zero
+    pivot, whose W is then NaN, and NaN where G is not finite.  The
+    caller gates it against SINGULAR_CONDITION, under an np.errstate
+    that lets a non-finite iterate or an overflowing condition pass
+    silently.
     """
     n, k = x.shape[-1], reduced.shape[-1]
     matrix = reduced + (projector[:, :k] * (z / x)[:, np.newaxis, :]) @ basis[:, :n]
@@ -163,18 +173,13 @@ def _factor(basis, projector, reduced, grade, x: np.ndarray, z: np.ndarray):
                 inverse[b] = np.linalg.inv(member)
             except np.linalg.LinAlgError:
                 singular.append(b)
-    with np.errstate(over="ignore"):
-        norms = np.abs(matrix).sum(axis=1).max(axis=1, initial=0.0)
-        condition = np.maximum(grade, norms * np.abs(inverse).sum(axis=1).max(axis=1, initial=0.0))
-    conditions = condition.tolist()
-    if not condition.max() <= SINGULAR_CONDITION:
-        for b, (g, c) in enumerate(zip(grade.tolist(), conditions)):
-            if not c <= SINGULAR_CONDITION:
-                inverse[b] = math.nan
-                conditions[b] = _rejection(g, b in singular, c)
+    norms = np.abs(matrix).sum(axis=1).max(axis=1, initial=0.0)
+    condition = np.maximum(grade, norms * np.abs(inverse).sum(axis=1).max(axis=1, initial=0.0))
+    if singular:
+        condition[singular] = math.inf
     inverse *= rows
     inverse *= columns
-    return inverse, conditions
+    return inverse, condition
 
 
 def _rejection(grade: float, singular: bool, condition: float) -> NumericalError:
@@ -202,21 +207,24 @@ def newton_step(p: Problem, state: IterateState, r: int) -> NewtonStep:
         raise ValueError("iterate dimensions do not match the problem")
     if state.x.min() <= 0.0 or state.z.min() <= 0.0:
         raise InteriorError("iterate is not strictly interior")
-    A, x, z = p.A[np.newaxis], state.x[np.newaxis], state.z[np.newaxis]
+    A, x, z, h = p.A[np.newaxis], state.x[np.newaxis], state.z[np.newaxis], h[np.newaxis]
     space = _null_space(A, p.objective.evaluate(state.x)[2][np.newaxis])
-    inverse, (condition,) = _factor(*space, x, z)
-    if isinstance(condition, NumericalError):
-        raise condition
-    (dx,), (dy,), (dz,), _, (residual,) = _newton_step(
-        A, *space[:2], x, z, h[np.newaxis], inverse
-    )
+    # The gates below reject whatever a non-finite value would warn about.
+    with np.errstate(all="ignore"):
+        inverse, (condition,) = _factor(*space, x, z)
+        if not condition <= SINGULAR_CONDITION:
+            singular = condition == math.inf and np.isnan(inverse).all()
+            raise _rejection(space[3][0], singular, condition)
+        dx, dy, dz, h_dx = _newton_step(*space[:2], x, z, h, inverse)
+        _, (residual,) = _verify(x, z, h, dx, dy, dz, h_dx, A)
     if not residual <= RESIDUAL_LIMIT:
         raise NumericalError(
             f"step residual {residual:.3e} exceeds {RESIDUAL_LIMIT:.0e} after refinement"
         )
+    (dx,), (dy,), (dz,) = dx, dy, dz
     for arr in (dx, dy, dz):
         arr.setflags(write=False)
-    return NewtonStep(dx, dy, dz, float(residual), condition)
+    return NewtonStep(dx, dy, dz, float(residual), float(condition))
 
 
 def _reduced_solve(basis, projector, inverse, weights, rhs):
@@ -234,20 +242,30 @@ def _reduced_solve(basis, projector, inverse, weights, rhs):
     return dx, h_dx, projector[:, k:] @ (rhs - h_dx - weights * dx)
 
 
-def _newton_step(A, basis, projector, x, z, h, inverse):
-    """`newton_step` on a (B, .) stack of checked iterates and their `_factor` inverses.
+def _newton_step(basis, projector, x, z, h, inverse):
+    """The directions of `newton_step` on a (B, .) stack of iterates and their `_factor` inverses.
 
-    Returns dx, dy, dz, ||A dx|| and each member's worst relative residual,
-    infinite where it is not finite (as for a rejected member's NaN inverse).
+    Returns dx, dy, dz and H dx, unchecked: `_verify` checks them.
     """
     dx, h_dx, u = _reduced_solve(basis, projector, inverse, z / x, (h / x)[:, :, np.newaxis])
-    dx, dy = dx[:, :, 0], -u[:, :, 0]
-    dz = (h - z * dx) / x
-    a_dx = _norm((A @ dx[:, :, np.newaxis])[:, :, 0])
-    dual = (A.swapaxes(-1, -2) @ dy[:, :, np.newaxis] - h_dx)[:, :, 0] + dz
+    dx = dx[:, :, 0]
+    return dx, -u[:, :, 0], (h - z * dx) / x, h_dx[:, :, 0]
+
+
+def _verify(x, z, h, dx, dy, dz, h_dx, A):
+    """Residuals of steps of `_newton_step` over any leading axes.
+
+    Takes the iterate, its right-hand side h and the step's dx, dy, dz
+    and H dx, each (..., B, .), and the (B, m, n) stack of A, which
+    broadcasts over a leading step axis and keeps each product a gemv
+    with the bits of the one-step form.  Returns ||A dx|| and the worst
+    relative residual, infinite where it is not finite.
+    """
+    a_dx = _norm(np.matmul(A, dx[..., np.newaxis])[..., 0])
+    dual = np.matmul(A.swapaxes(-1, -2), dy[..., np.newaxis])[..., 0] - h_dx + dz
     # The norms of the dual and complementarity residuals, then of dx, dz
     # and h, which scale the primal, dual and complementarity ratios.
     sizes = _norm(np.array([dual, z * dx + x * dz - h, dx, dz, h]))
     residual = (np.array([a_dx, sizes[0], sizes[1]]) / (1.0 + sizes[2:])).max(axis=0)
     residual[np.isnan(residual)] = math.inf
-    return dx, dy, dz, a_dx, residual
+    return a_dx, residual

@@ -13,6 +13,15 @@ the iterate count provably stays within `iteration_bound`, every iterate
 stays interior, and the proximity stays under the threshold; the advisory
 monitors record each step's compliance with the inequalities behind that
 guarantee, and a strict mode promotes any breach to a hard failure.
+
+A step computes only what the next one needs: the scaling, the factored
+step system with each member's condition, the directions and H dx, the
+update and the gap.  Every step is checked, but with its block of up to
+32 steps, as array code over a leading step axis: the residuals of the
+step equations, the condition against SINGULAR_CONDITION, and x > 0 and
+z > 0 after the step.  A member whose step fails a check is rewound to
+the iterate before that step and ends there as numerical_failure, as if
+it had been stopped at that step.
 """
 
 from __future__ import annotations
@@ -36,7 +45,14 @@ from .centralpath import (
     _p,
     _scaling,
 )
-from .newton import RESIDUAL_LIMIT, _factor, _newton_step, _null_space
+from .newton import (
+    RESIDUAL_LIMIT,
+    SINGULAR_CONDITION,
+    _factor,
+    _newton_step,
+    _null_space,
+    _verify,
+)
 from .problem import Problem, validate_start
 
 __all__ = [
@@ -302,7 +318,7 @@ class SolveResult:
 _BLOCK = 32
 
 # Elements of one (steps, B, n) array that a flush evaluates at once.  It
-# holds some sixteen such arrays, so a chunk bounds its memory near 0.5 MB
+# holds some twenty such arrays, so a chunk bounds its memory near 0.7 MB
 # whatever B n is.
 _CHUNK = 4096
 
@@ -326,24 +342,34 @@ def solve_many(
 
     The members share each step's array arithmetic, which pays the
     per-step overhead once per batch.  Each keeps its own barrier value,
-    bound, iteration cap, factorization, residual gate, trace and status,
+    bound, iteration cap, factorization, step checks, trace and status,
     and leaves the batch when it stops, so every result equals its solo
     `solve` bit for bit.  Problems of mixed shape raise ValueError.
 
     A step does only what decides the next one: the scaling, the kernel,
-    the factorization and solve with its residual gate, the interior
-    test, the update and the gap.  It stores its iterate, step and
-    scalars in a block, and the rest is evaluated for the whole block at
-    once, with the same kernels over a leading step axis: the scaled
-    directions, the feasibility residuals, the monitor terms and norms,
-    and the grading.  That happens when the block is full, when a member
-    leaves and when the batch ends, and after every step under
-    strict_monitors, so that a breach stops the run at its own step.
+    the factorization with each member's condition, the solve with its
+    refinement pass (dx, dy, dz and H dx), the update and the gap.  It
+    stores its iterate, step and scalars in a block, and the rest is
+    evaluated for the whole block at once, with the same kernels over a
+    leading step axis.  First the checks every step must pass: its
+    residuals (`step_residual`, at most RESIDUAL_LIMIT), its condition
+    (at most SINGULAR_CONDITION) and x > 0 and z > 0 after it.  Then the
+    scaled directions, the feasibility residuals, the monitor terms and
+    norms, and the grading.  That happens when the block is full, when a
+    member leaves and when the batch ends, and after every step under
+    strict_monitors, so that a breach stops the run at its own step.  A
+    member whose step t of the block fails a check ends as
+    numerical_failure on the iterate before step t, with step t's barrier
+    value as mu_final, the gap before it, and the iterations, trace rows
+    and violations of the steps before it; what it computed after step t
+    is dropped, and no other member's arithmetic depends on it.
     With on_block, each member's part of a graded block goes to
     on_block(index, block), index being the member's place in `problems`
     and block a Trace of its next iterations, and the results' traces
     stay empty; a caller that needs only a summary of the trace then
-    never holds it whole.
+    never holds it whole.  on_block runs under the caller's numpy error
+    state; the steps run with floating-point warnings off, since a
+    failing member's NaN or inf raises none before its block is checked.
     """
     problems = list(problems)
     if len({(p.n, p.m) for p in problems}) > 1:
@@ -404,42 +430,62 @@ def solve_many(
     violations = [0] * len(problems)
     steps = 0  # members step in lockstep, so every active one has taken `steps`
     depth = 1 if cfg.strict_monitors else _BLOCK
-    rows = 0  # steps written to the block and not yet graded
+    rows = 0  # steps written to the block and not yet checked and graded
+    caller = np.geterr()  # on_block runs under the caller's error state
 
     def flush():
-        # Evaluate and grade the block, pass each member its part, and
-        # return each member's count of false flags.  The steps go in
-        # chunks of at most _CHUNK elements per (steps, B, n) array, which
-        # bounds the memory a flush holds; every kernel works per step, so
-        # the chunks change no bit.  Matrix-vector products broadcast A
-        # over the step axis, which keeps each product a gemv with the bits
-        # of the one-step form.
-        nonlocal rows
+        # Check, evaluate and grade the block, pass each member its part up
+        # to its first step that failed a check, end that member on the
+        # iterate before the step, and return each member's count of false
+        # flags.  The steps go in chunks of at most _CHUNK elements per
+        # (steps, B, n) array, which bounds the memory a flush holds; every
+        # kernel works per step, so the chunks change no bit.
+        # Matrix-vector products broadcast A over the step axis, which
+        # keeps each product a gemv with the bits of the one-step form.
+        nonlocal rows, settle, y
         if not rows:
             return []
-        failed = 0
+        # ys[t] is y before step t of the block and ys[t + 1] after it,
+        # summed in step order, so each has the bits of y + dy step by step.
+        ys = np.add.accumulate(np.concatenate([y[np.newaxis], dys[:rows]]))
+        failed = kept = 0
+        passing = True  # each member's steps so far all passed
         span = max(1, _CHUNK // xs[0, 0].size)
         for begin in range(0, rows, span):
             chunk = slice(begin, min(begin + span, rows))
             written = block[chunk]
-            x, z = xs[:, chunk], zs[:, chunk]
-            dx, dz, y = dxs[chunk], dzs[chunk], ys[chunk]
-            np.add(x[0], dx, out=x[1])
-            np.add(z[0], dz, out=z[1])
-            w = _scaling(x, z, written["mu"][..., np.newaxis])
+            xt, zt = xs[:, chunk], zs[:, chunk]  # before and after each step
+            dx, dz = dxs[chunk], dzs[chunk]
+            np.add(xt[0], dx, out=xt[1])
+            np.add(zt[0], dz, out=zt[1])
+            mu = written["mu"][..., np.newaxis]
+            w = _scaling(xt, zt, mu)
             p = _p(w, r)
+            a_dx, residual = _verify(
+                xt[0], zt[0], mu * w[0] * p[0], dx, dys[chunk], dz, h_dxs[chunk], A
+            )
+            # A step passes when its residual and condition are within their
+            # limits and its new iterate is interior; each comparison rejects
+            # NaN.  A member keeps its rows up to its first step that fails.
+            passed = (residual <= RESIDUAL_LIMIT) & (written["condition"] <= SINGULAR_CONDITION)
+            passed &= (xt[1].min(axis=-1) > 0.0) & (zt[1].min(axis=-1) > 0.0)
+            valid = np.logical_and.accumulate(passed & passing, axis=0)
+            passing = valid[-1]
+            kept = kept + np.count_nonzero(valid, axis=0)
             (written["gamma_before"], written["gamma"], written["min_w"],
              written["eq115_slack"]) = _monitor_terms(w, p, p[0])
-            dx_s, dz_s, qw, written["dxTdz"] = _directions(w[0], x[0], z[0], dx, dz)
-            gradient = c + np.matmul(Q, x[1, ..., np.newaxis])[..., 0]
-            dual = np.matmul(A.transpose(0, 2, 1), y[..., np.newaxis])[..., 0] + z[1] - gradient
+            dx_s, dz_s, qw, written["dxTdz"] = _directions(w[0], xt[0], zt[0], dx, dz)
+            gradient = c + np.matmul(Q, xt[1, ..., np.newaxis])[..., 0]
+            y_after = ys[begin + 1 : chunk.stop + 1, ..., np.newaxis]
+            dual = np.matmul(A.transpose(0, 2, 1), y_after)[..., 0] + zt[1] - gradient
             written["norm_pw"] = _norm(p[0])
             written["norm_qw"] = _norm(qw)
             written["dual_res"] = _norm(dual)
             written["grad_norm"] = _norm(gradient)
             written["kernel_defect"] = _norm(dx_s + dz_s - p[0])
-            written["primal_res"] = _norm(np.matmul(A, x[1, ..., np.newaxis])[..., 0] - b)
-            written["scaled_primal"] /= written["mu"]
+            written["primal_res"] = _norm(np.matmul(A, xt[1, ..., np.newaxis])[..., 0] - b)
+            written["scaled_primal"] = a_dx / written["mu"]
+            written["step_residual"] = residual
             graded = ("gamma_before", "gamma", "min_w", "eq115_slack", "norm_pw", "norm_qw",
                       "dxTdz", "gap", "mu")
             flags, written["contraction_bound"], written["gap_bound"], written["worst_margin"] = (
@@ -447,17 +493,26 @@ def solve_many(
             )
             for name, flag in zip(_FLAGS, flags):
                 written[name] = flag
-            failed = failed + np.count_nonzero(~flags, axis=(0, 1))
+            failed = failed + np.count_nonzero(~flags & valid, axis=(0, 1))
         written = block[:rows]
         written["iteration"] = np.arange(steps - rows + 1, steps + 1)[:, np.newaxis]
-        failed = failed.tolist()
-        for k, i in enumerate(ids):
-            violations[i] += failed[k]
-            on_block(i, Trace(written[:, k]))
+        y = ys[rows]
+        failed, kept = failed.tolist(), kept.tolist()
+        with np.errstate(**caller):
+            for k, i in enumerate(ids):
+                violations[i] += failed[k]
+                if kept[k]:
+                    on_block(i, Trace(written[: kept[k], k]))
+        for k, t in enumerate(kept):
+            if t < rows:  # step t failed
+                x[k], y[k], z[k] = xs[0, t, k], ys[t, k], zs[0, t, k]
+                gap[k] = written["gap"][t - 1, k] if t else opening_gap[k]
+                finish(k, "numerical_failure", written["mu"][t, k], steps - rows + t)
+                settle = True
         rows = 0
         return failed
 
-    def finish(k, status, mu_k):
+    def finish(k, status, mu_k, iterations):
         vectors = x[k].copy(), y[k].copy(), z[k].copy()
         for arr in vectors:
             arr.setflags(write=False)
@@ -469,68 +524,63 @@ def solve_many(
             z=vectors[2],
             mu_final=float(mu_k),
             gap_final=float(gap[k]),
-            iterations=steps,
+            iterations=iterations,
             bound=bounds[i],
             trace=Trace.concat(parts[i]),
             monitor_violations=violations[i],
         )
 
     settle = True  # some member may have stopped
-    while True:
-        if settle:
-            flush()
-            for k in np.flatnonzero(~((gap > cfg.epsilon) & (steps < limit))):
-                if results[ids[k]] is None:
-                    finish(k, "converged" if not gap[k] > cfg.epsilon else "iteration_cap", mu[k])
-            keep = np.array([results[i] is None for i in ids])
-            if not keep.all():
-                ids = [i for i, kept in zip(ids, keep) if kept]
-                if not ids:
-                    return results
-                mu, gap, limit, x, y, z, A, b, c, Q, *space = (
-                    a[keep] for a in (mu, gap, limit, x, y, z, A, b, c, Q, *space)
-                )
-            settle, stop = False, limit.min()
-            # Each step's x and z before and after it, its dx and dz, and its new y.
-            xs, zs = np.empty((2, 2, depth, *x.shape))
-            dxs, dzs = np.empty((2, depth, *x.shape))
-            ys = np.empty((depth, *y.shape))
-        shrunk = mu * shrink
-        column = shrunk[:, np.newaxis]
-        w = _scaling(x, z, column)
-        inverse, conditions = _factor(*space, x, z)
-        dx, dy, dz, a_dx, residual = _newton_step(
-            A, *space[:2], x, z, column * w * _p(w, r), inverse
-        )
-        x_next, z_next = x + dx, z + dz
-        if not (residual.max() <= RESIDUAL_LIMIT and x_next.min() > 0.0 and z_next.min() > 0.0):
-            fine = residual <= RESIDUAL_LIMIT
-            fine &= (x_next.min(axis=1) > 0.0) & (z_next.min(axis=1) > 0.0)
-            flush()
-            for k in np.flatnonzero(~fine):
-                finish(k, "numerical_failure", shrunk[k])
-            settle = True
-            continue
-        if not rows:  # a graded block belongs to its Trace parts
-            block = np.empty((depth, len(ids)), _TRACE_ROW)
-        y = y + dy
-        for stack, value in zip((xs[0], zs[0], dxs, dzs, ys), (x, z, dx, dz, y)):
-            stack[rows] = value
-        mu, steps = shrunk, steps + 1
-        x, z = x_next, z_next
-        gap = _dot(x, z)
-        # scaled_primal holds ||A dx|| until the block is graded.
-        step = block[rows]
-        step["mu"], step["gap"], step["scaled_primal"] = mu, gap, a_dx
-        step["step_residual"], step["condition"] = residual, conditions
-        rows += 1
-        settle = steps >= stop or not gap.min() > cfg.epsilon
-        if rows == depth:
-            failed = flush()
-            if cfg.strict_monitors:
-                for k in np.flatnonzero(failed):
-                    finish(k, "numerical_failure", mu[k])
-                    settle = True
+    # A member whose step failed a check runs on, perhaps on NaN or inf,
+    # until its block is checked; until then its arithmetic raises no
+    # warning.  Each member's arithmetic is its own, so it disturbs no other.
+    with np.errstate(all="ignore"):
+        while True:
+            if settle:
+                flush()
+                for k in np.flatnonzero(~((gap > cfg.epsilon) & (steps < limit))):
+                    if results[ids[k]] is None:
+                        status = "converged" if not gap[k] > cfg.epsilon else "iteration_cap"
+                        finish(k, status, mu[k], steps)
+                keep = np.array([results[i] is None for i in ids])
+                if not keep.all():
+                    ids = [i for i, kept in zip(ids, keep) if kept]
+                    if not ids:
+                        return results
+                    mu, gap, limit, x, y, z, A, b, c, Q, *space = (
+                        a[keep] for a in (mu, gap, limit, x, y, z, A, b, c, Q, *space)
+                    )
+                settle, stop = False, limit.min()
+                # Each step's x and z before and after it, and its dx, dz,
+                # H dx and dy.
+                xs, zs = np.empty((2, 2, depth, *x.shape))
+                dxs, dzs, h_dxs = np.empty((3, depth, *x.shape))
+                dys = np.empty((depth, *y.shape))
+            # A step computes only what the next one needs; its block checks it.
+            shrunk = mu * shrink
+            column = shrunk[:, np.newaxis]
+            w = _scaling(x, z, column)
+            inverse, conditions = _factor(*space, x, z)
+            dx, dy, dz, h_dx = _newton_step(*space[:2], x, z, column * w * _p(w, r), inverse)
+            if not rows:  # a graded block belongs to its Trace parts
+                block = np.empty((depth, len(ids)), _TRACE_ROW)
+                opening_gap = gap
+            stored = (x, z, dx, dz, h_dx, dy)
+            for stack, value in zip((xs[0], zs[0], dxs, dzs, h_dxs, dys), stored):
+                stack[rows] = value
+            mu, steps = shrunk, steps + 1
+            x, z = x + dx, z + dz
+            gap = _dot(x, z)
+            step = block[rows]
+            step["mu"], step["gap"], step["condition"] = mu, gap, conditions
+            rows += 1
+            settle = steps >= stop or not gap.min() > cfg.epsilon
+            if rows == depth:
+                failed = flush()
+                if cfg.strict_monitors:
+                    for k in np.flatnonzero(failed):
+                        finish(k, "numerical_failure", mu[k], steps)
+                        settle = True
 
 
 # The row fields in TRACE_HEADER order ("iter" is iteration, and a flag is

@@ -193,6 +193,20 @@ class TestExitCodes:
         assert "(theoretical bound 7948, cap 1)" in done.stdout
 
 
+    def test_subnormal_target_fails_without_a_warning(self, tmp_path):
+        # At eps = 1e-320 the gap reaches the subnormal range, z / x
+        # overflows, and the step that overflows fails its checks.  Its
+        # arithmetic warns about nothing, even with warnings as errors.
+        path = tmp_path / "g.lcco"
+        assert main(["generate", "--n", "4", "--m", "2", "--objective", "linear",
+                     "--seed", "1", "--out", str(path)]) == 0
+        done = run_fresh(["-W", "error", "-m", "lcco_ipm.cli", "solve", str(path),
+                          "--eps", "1e-320"])
+        assert done.returncode == 3
+        assert done.stderr == ""
+        assert "status: numerical_failure after 10115 iterations" in done.stdout
+
+
 class TestGenerate:
     def test_writes_a_deterministic_instance(self, tmp_path, capsys):
         a = tmp_path / "a.lcco"
@@ -349,6 +363,21 @@ class TestStartUp:
         lines = done.stdout.splitlines()
         assert any(line.startswith("reference (") and line.endswith("-> agree") for line in lines)
         assert lines[-1] == "[]"
+
+    def test_cli_import_adds_no_third_party_package_but_numpy(self):
+        # Set-up time is mostly imports: importing the CLI may add only
+        # numpy and the package itself to what a bare interpreter holds,
+        # apart from the standard library.
+        script = (
+            "import sys\n"
+            "bare = {name.partition('.')[0] for name in sys.modules}\n"
+            "import lcco_ipm.cli\n"
+            "added = {name.partition('.')[0] for name in sys.modules} - bare\n"
+            "print(sorted(added - set(sys.stdlib_module_names)))\n"
+        )
+        done = run_fresh(["-c", script])
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.splitlines() == ["['lcco_ipm', 'numpy']"]
 
 
 class TestSweep:

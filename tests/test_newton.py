@@ -193,8 +193,8 @@ class TestFactorization:
     def test_an_exactly_singular_member_leaves_the_others_bit_identical(self):
         # With H = 0 and z = 0, G is exactly zero, so the stacked inverse
         # fails and the members are inverted one by one.  The singular one
-        # is rejected, with a NaN inverse and an infinite residual; the
-        # others keep the bits of their solo `_factor` calls.
+        # gets an infinite condition, a NaN inverse and an infinite
+        # residual; the others keep the bits of their solo `_factor` calls.
         problems = [generate_instance(8, 4, "linear", seed) for seed in (41, 42, 43)]
         A = np.array([p.A for p in problems])
         hessian = np.zeros((3, 8, 8))
@@ -204,9 +204,9 @@ class TestFactorization:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             inverse, conditions = newton._factor(*space, x, z)
-            residual = newton._newton_step(A, *space[:2], x, z, 0.1 * x, inverse)[4]
-        assert isinstance(conditions[1], NumericalError)
-        assert "singular" in str(conditions[1])
+            step = newton._newton_step(*space[:2], x, z, 0.1 * x, inverse)
+            residual = newton._verify(x, z, 0.1 * x, *step, A)[1]
+        assert conditions[1] == math.inf > SINGULAR_CONDITION
         assert np.isnan(inverse[1]).all()
         assert residual[1] == math.inf
         for b in (0, 2):
@@ -237,6 +237,20 @@ class TestFactorization:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(NumericalError, match="singular"):
+                newton_step(p, state, 1)
+
+    def test_exactly_singular_reduced_matrix_raises_on_its_zero_pivot(self):
+        # With H = -I at x = z = 1, N'HN = -N'N cancels N' diag(z/x) N
+        # exactly, so G = 0 and its LU has an exact zero pivot.
+        p = Problem(
+            A=[[1.0, 1.0]],
+            b=[2.0],
+            objective=ObjectiveSpec("quadratic", c=[0.0, 0.0], Q=-np.eye(2)),
+        )
+        state = IterateState.from_point([1.0, 1.0], [0.0], [1.0, 1.0], 1.0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NumericalError, match=r"singular \(G has an exact zero pivot\)"):
                 newton_step(p, state, 1)
 
     def test_nearly_dependent_rows_raise_on_the_condition_estimate(self):

@@ -8,6 +8,7 @@ import pytest
 
 from lcco_ipm import (
     AUTO,
+    SINGULAR_CONDITION,
     TRACE_HEADER,
     IterateState,
     ObjectiveSpec,
@@ -27,7 +28,7 @@ from lcco_ipm import (
     solve_many,
     trace_to_csv,
 )
-from lcco_ipm import centralpath
+from lcco_ipm import centralpath, newton
 from lcco_ipm import solver as solver_module
 
 
@@ -335,18 +336,20 @@ class TestSolveMany:
         )
         failing = generate_instance(6, 3, "quadratic", 24)
         half_gap = 0.5 * float(failing.start.x0 @ failing.start.z0)
+        # [N; HN] of `failing`, by which the step function knows that member.
+        marker = newton._null_space(failing.A[np.newaxis], failing.objective.Q[np.newaxis])[0][0]
         step_fn = solver_module._newton_step
 
-        def poisoned(A, kkt, hessian, x, z, *rest):
+        def poisoned(basis, projector, x, z, *rest):
             # NaN in dz of the `failing` member once its gap has halved: a
             # condition on its own iterate, so solo and batched runs agree.
-            dx, dy, dz, a_dx, residual = step_fn(A, kkt, hessian, x, z, *rest)
-            hit = [np.array_equal(a, failing.A) and xk @ zk < half_gap
-                   for a, xk, zk in zip(A, x, z)]
+            dx, dy, dz, h_dx = step_fn(basis, projector, x, z, *rest)
+            hit = [np.array_equal(member, marker) and xk @ zk < half_gap
+                   for member, xk, zk in zip(basis, x, z)]
             if any(hit):
                 dz = np.array(dz)
                 dz[hit, 0] = math.nan
-            return dx, dy, dz, a_dx, residual
+            return dx, dy, dz, h_dx
 
         monkeypatch.setattr(solver_module, "_newton_step", poisoned)
         problems = [centered, off_center, inadmissible, failing]
@@ -483,24 +486,30 @@ class TestTraceColumns:
                     column[0] = True
 
     def test_condition_and_residual_columns_match_the_public_step_api(self):
-        # A replay of the loop: each step's condition estimate and residual
-        # are those newton_step reports at its iterate.
+        # A replay of the loop over 70 steps, across two block boundaries:
+        # each step's condition estimate and residual are those newton_step
+        # reports at its iterate, bit for bit, whether the instance runs
+        # alone or as the middle member of a batch.
         p = generate_instance(6, 3, "quadratic", 41)
-        cfg = SolverConfig(epsilon=1e-6, r=2, max_iterations=25)
-        trace = solve(p, cfg).trace
+        cfg = SolverConfig(epsilon=1e-6, r=2, max_iterations=70)
+        batch = [generate_instance(6, 3, kind, seed)
+                 for kind, seed in (("linear", 41), ("quadratic", 41), ("quadratic", 42))]
+        traces = [solve(p, cfg).trace, solve_many(batch, cfg)[1].trace]
         theta = cfg.resolved_theta(p.n)
         x, y, z = p.start.x0, p.start.y0, p.start.z0
         mu = float(x @ z) / p.n
         conditions, residuals = [], []
-        for _ in range(25):
+        for _ in range(70):
             mu *= 1.0 - theta
             before = IterateState.from_point(x, y, z, mu)
             step = newton_step(p, before, cfg.r)
             conditions.append(step.condition)
             residuals.append(step.residual)
             x, y, z = x + step.dx_full, y + step.dy_full, z + step.dz_full
-        assert trace.condition.tolist() == conditions
-        assert trace.step_residual.tolist() == residuals
+        for trace in traces:
+            assert len(trace) == 70
+            assert trace.condition.tobytes() == np.array(conditions).tobytes()
+            assert trace.step_residual.tobytes() == np.array(residuals).tobytes()
         assert min(conditions) >= 1.0
 
 
@@ -538,12 +547,14 @@ class TestBlocks:
 
     @pytest.mark.parametrize("block", [16, 256])
     def test_grader_runs_once_per_block_or_membership_change(self, monkeypatch, block):
-        # The scaled directions and the monitor terms are evaluated with
-        # the grading, once per block over all of its steps, not per step.
+        # The step checks, the scaled directions and the monitor terms are
+        # evaluated with the grading, once per block over all of its steps,
+        # not per step.
         monkeypatch.setattr(solver_module, "_BLOCK", block)
         calls = self.counted(monkeypatch, "_grade")
         directions = self.counted(monkeypatch, "_directions")
         terms = self.counted(monkeypatch, "_monitor_terms")
+        verified = self.counted(monkeypatch, "_verify")
         results = solve_many(staggered_batch(), SolverConfig(epsilon=1e-6))
         iterations = [result.iterations for result in results]
         assert len(set(iterations)) == 4
@@ -553,6 +564,7 @@ class TestBlocks:
         steps = [rows for rows, _ in calls]
         assert [shape[0] for shape in directions] == steps
         assert [shape[:2] for shape in terms] == [(2, rows) for rows in steps]
+        assert [shape[0] for shape in verified] == steps
 
     def test_block_boundaries_change_no_bit(self, monkeypatch):
         cfg = SolverConfig(epsilon=1e-6)
@@ -566,12 +578,94 @@ class TestBlocks:
         calls = self.counted(monkeypatch, "_grade")
         directions = self.counted(monkeypatch, "_directions")
         terms = self.counted(monkeypatch, "_monitor_terms")
+        verified = self.counted(monkeypatch, "_verify")
         result = solve(generate_instance(4, 2, "linear", 7),
                        SolverConfig(epsilon=1e-6, strict_monitors=True, max_iterations=20))
         assert result.iterations == 20
         assert calls == [(1, 1)] * 20
         assert directions == [(1, 1, 4)] * 20
         assert terms == [(2, 1, 1, 4)] * 20
+        assert verified == [(1, 1, 4)] * 20
+
+
+def tiny_x(p, scale=1e-10):
+    """p with x0 and b scaled by `scale`, a start as central at a mu `scale` times smaller.
+
+    Its x is then so small that zeroing one component of x + dx leaves
+    every step equation within RESIDUAL_LIMIT.
+    """
+    start = p.start
+    return Problem(A=p.A, b=scale * p.b, objective=p.objective,
+                   start=StartPoint(scale * start.x0, start.y0, start.z0))
+
+
+class TestStepChecks:
+    def trip(self, monkeypatch, gate, target, gap):
+        # Make `target` fail one check at its first step from an iterate
+        # whose gap is below `gap`: a condition on its own iterate, so solo
+        # and batched runs trip at the same step.
+        hessian = target.objective.evaluate(target.start.x0)[2]
+        marker = newton._null_space(target.A[np.newaxis], hessian[np.newaxis])[0][0]
+
+        def hit(basis, x, z):
+            return [np.array_equal(member, marker) and xk @ zk < gap
+                    for member, xk, zk in zip(basis, x, z)]
+
+        if gate == "condition":
+            factor = solver_module._factor
+
+            def tripped(basis, projector, reduced, grade, x, z):
+                inverse, condition = factor(basis, projector, reduced, grade, x, z)
+                condition[hit(basis, x, z)] = 10.0 * SINGULAR_CONDITION
+                return inverse, condition
+
+            monkeypatch.setattr(solver_module, "_factor", tripped)
+            return
+        step_fn = solver_module._newton_step
+
+        def tripped(basis, projector, x, z, *rest):
+            dx, dy, dz, h_dx = step_fn(basis, projector, x, z, *rest)
+            rows = hit(basis, x, z)
+            if any(rows):
+                dx, dy = np.array(dx), np.array(dy)
+                if gate == "residual":
+                    dy[rows] += 1e-3  # a finite dual residual near 1e-3
+                else:
+                    dx[rows, 0] = -x[rows, 0]  # x + dx has a zero
+            return dx, dy, dz, h_dx
+
+        monkeypatch.setattr(solver_module, "_newton_step", tripped)
+
+    @pytest.mark.parametrize("strict", [False, True])
+    @pytest.mark.parametrize("gate", ["residual", "interior", "condition"])
+    def test_a_member_failing_mid_block_ends_before_that_step(self, monkeypatch, gate, strict):
+        # The middle member fails one check at step 45, the 13th step of its
+        # second 32-step block; the others run on to their cap.
+        monkeypatch.setattr(solver_module, "_BLOCK", 32)
+        cfg = SolverConfig(epsilon=1e-14, max_iterations=70, strict_monitors=strict)
+        target = tiny_x(generate_instance(6, 3, "linear", 62))
+        problems = [generate_instance(6, 3, "quadratic", 61), target,
+                    generate_instance(6, 3, "linear", 63)]
+        clean = [solve(target, dataclasses.replace(cfg, max_iterations=cap)) for cap in (44, 45)]
+        gaps = clean[1].trace.gap
+        self.trip(monkeypatch, gate, target, 0.5 * (gaps[42] + gaps[43]))
+        results = solve_many(problems, cfg)
+        assert [res.status for res in results] == [
+            "iteration_cap", "numerical_failure", "iteration_cap",
+        ]
+        for p, got in zip(problems, results):
+            want = solve(p, cfg)
+            assert_same_result(got, want)
+            for name in ("condition", "step_residual"):
+                assert getattr(got.trace, name).tobytes() == getattr(want.trace, name).tobytes()
+        # It ends on the iterate before step 45, with that step's mu: as a
+        # run capped at 44 steps ends, but for its status and mu.
+        assert results[1].iterations == 44
+        before = dataclasses.replace(
+            clean[0], status="numerical_failure", mu_final=clean[1].mu_final
+        )
+        assert_same_result(results[1], before)
+        assert results[1].trace.condition.tobytes() == clean[0].trace.condition.tobytes()
 
 
 class TestRejectedRuns:
@@ -646,10 +740,10 @@ class TestFailureStatuses:
         step_fn = solver_module._newton_step
 
         def poisoned(*args):
-            dx, dy, dz, a_dx, residual = step_fn(*args)
+            dx, dy, dz, h_dx = step_fn(*args)
             dz = np.array(dz)
             dz[:, 0] = math.nan
-            return dx, dy, dz, a_dx, residual
+            return dx, dy, dz, h_dx
 
         monkeypatch.setattr(solver_module, "_newton_step", poisoned)
         p = generate_instance(4, 2, "linear", 7)
