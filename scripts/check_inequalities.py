@@ -7,7 +7,9 @@ w = 1 excluded:
   * the ratio bound 0 <= ((r-1)^2 w^(2r) + (2r-2) w^r - r^2 w^(2r-2) + 1)
     / (1 - w^r)^2 <= (r-1)^2.
 
-Prints worst slacks per power and exits 1 on any violation.
+Prints worst slacks per power and exits 1 on any violation.  A bad
+value (fewer than two grid points, a power outside [1, R_MAX], a grid
+too large for memory) prints an `error:` line and exits 1.
 
     python3 scripts/check_inequalities.py
     python3 scripts/check_inequalities.py --w-max 20 --steps 5000 --r-max 12
@@ -18,7 +20,7 @@ import sys
 
 import numpy as np
 
-from lcco_ipm import MONITOR_SLACK, check_eq117_inequality, eq117_ratio, p_vector
+from lcco_ipm import MONITOR_SLACK, R_MAX, check_eq117_inequality, eq117_ratio, p_vector
 
 
 def parse_args(argv=None):
@@ -33,7 +35,7 @@ def parse_args(argv=None):
         "--steps", type=int, default=491, help="grid point count (default 491)"
     )
     parser.add_argument(
-        "--r-max", type=int, default=5, help="largest kernel power (default 5)"
+        "--r-max", type=int, default=5, help=f"largest kernel power, at most {R_MAX} (default 5)"
     )
     return parser.parse_args(argv)
 
@@ -43,10 +45,14 @@ def main(argv=None) -> int:
     if not 0.0 < args.w_min < args.w_max:
         print("error: need 0 < --w-min < --w-max", file=sys.stderr)
         return 1
-    if args.steps < 2 or args.r_max < 1:
-        print("error: need --steps >= 2 and --r-max >= 1", file=sys.stderr)
+    if args.steps < 2 or not 1 <= args.r_max <= R_MAX:
+        print(f"error: need --steps >= 2 and 1 <= --r-max <= {R_MAX}", file=sys.stderr)
         return 1
-    w = np.linspace(args.w_min, args.w_max, args.steps)
+    try:
+        w = np.linspace(args.w_min, args.w_max, args.steps)
+    except MemoryError:
+        print(f"error: a grid of {args.steps} points does not fit in memory", file=sys.stderr)
+        return 1
     w = w[np.abs(w - 1.0) >= 1e-9]
     print(f"grid: {w.size} points in [{args.w_min:g}, {args.w_max:g}], w=1 excluded")
     clean = True

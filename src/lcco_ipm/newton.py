@@ -182,18 +182,6 @@ def _factor(basis, projector, reduced, grade, x: np.ndarray, z: np.ndarray):
     return inverse, condition
 
 
-def _rejection(grade: float, singular: bool, condition: float) -> NumericalError:
-    # Why a member's system was rejected, in the order the checks apply.
-    if grade == math.inf:
-        return NumericalError("step system singular (A has linearly dependent rows)")
-    if singular:
-        return NumericalError("step system singular (G has an exact zero pivot)")
-    return NumericalError(
-        f"step system numerically singular "
-        f"(condition estimate {condition:.3e} exceeds {SINGULAR_CONDITION:.0e})"
-    )
-
-
 def newton_step(p: Problem, state: IterateState, r: int) -> NewtonStep:
     """Solve the step equations at state, aimed at its own mu, to working accuracy.
 
@@ -212,9 +200,16 @@ def newton_step(p: Problem, state: IterateState, r: int) -> NewtonStep:
     # The gates below reject whatever a non-finite value would warn about.
     with np.errstate(all="ignore"):
         inverse, (condition,) = _factor(*space, x, z)
+        # Why a system is rejected, in the order the checks apply.
         if not condition <= SINGULAR_CONDITION:
-            singular = condition == math.inf and np.isnan(inverse).all()
-            raise _rejection(space[3][0], singular, condition)
+            if space[3][0] == math.inf:
+                raise NumericalError("step system singular (A has linearly dependent rows)")
+            if condition == math.inf and np.isnan(inverse).all():
+                raise NumericalError("step system singular (G has an exact zero pivot)")
+            raise NumericalError(
+                f"step system numerically singular "
+                f"(condition estimate {condition:.3e} exceeds {SINGULAR_CONDITION:.0e})"
+            )
         dx, dy, dz, h_dx = _newton_step(*space[:2], x, z, h, inverse)
         _, (residual,) = _verify(x, z, h, dx, dy, dz, h_dx, A)
     if not residual <= RESIDUAL_LIMIT:
@@ -227,27 +222,23 @@ def newton_step(p: Problem, state: IterateState, r: int) -> NewtonStep:
     return NewtonStep(dx, dy, dz, float(residual), float(condition))
 
 
-def _reduced_solve(basis, projector, inverse, weights, rhs):
-    # [[M, A'], [A, 0]] [dx; u] = [rhs; 0] on (B, n, c) stacks, M = H + diag(weights):
-    # dx = N v with v = G^-1 N' rhs, refined once against the unscaled M, and
-    # u = (A')^+ (rhs - M dx).  Returns dx, H dx and u.
-    n, k = weights.shape[-1], basis.shape[-1]
-    weights = weights[:, :, np.newaxis]
+def _newton_step(basis, projector, x, z, h, inverse):
+    """The directions of `newton_step` on a (B, .) stack of iterates and their `_factor` inverses.
+
+    Returns dx, dy, dz and H dx, unchecked: `_verify` checks them.
+    """
+    # [[M, A'], [A, 0]] [dx; u] = [h/x; 0] on (B, n, 1) stacks, M = H + diag(z/x):
+    # dx = N v with v = G^-1 N' (h/x), refined once against the unscaled M,
+    # and u = (A')^+ (h/x - M dx) = -dy.
+    n, k = x.shape[-1], basis.shape[-1]
+    weights, rhs = (z / x)[:, :, np.newaxis], (h / x)[:, :, np.newaxis]
     null = projector[:, :k]
     v = inverse @ (null @ rhs)
     image = basis @ v
     v += inverse @ (null @ (rhs - image[:, n:] - weights * image[:, :n]))
     image = basis @ v
     dx, h_dx = image[:, :n], image[:, n:]
-    return dx, h_dx, projector[:, k:] @ (rhs - h_dx - weights * dx)
-
-
-def _newton_step(basis, projector, x, z, h, inverse):
-    """The directions of `newton_step` on a (B, .) stack of iterates and their `_factor` inverses.
-
-    Returns dx, dy, dz and H dx, unchecked: `_verify` checks them.
-    """
-    dx, h_dx, u = _reduced_solve(basis, projector, inverse, z / x, (h / x)[:, :, np.newaxis])
+    u = projector[:, k:] @ (rhs - h_dx - weights * dx)
     dx = dx[:, :, 0]
     return dx, -u[:, :, 0], (h - z * dx) / x, h_dx[:, :, 0]
 

@@ -334,10 +334,12 @@ def generate_instance(n: int, m: int, kind: str, seed: int) -> Problem:
         q = g.T @ g / n
         q = 0.5 * (q + q.T)
         c = x0 + A.T @ y0 - q @ x0
-        objective = ObjectiveSpec.quadratic(c, q)
     else:
+        q = None
         c = x0 + A.T @ y0
-        objective = ObjectiveSpec.linear(c)
+    # Problem.validate checks the objective, so it is built raw, as
+    # parse_instance builds it.
+    objective = ObjectiveSpec(kind=kind, c=c, Q=q)
     start = StartPoint(x0=x0, y0=y0, z0=np.ones(n))
     return Problem(A=A, b=b, objective=objective, start=start).validate()
 

@@ -17,8 +17,9 @@ guarantee, and a strict mode promotes any breach to a hard failure.
 A step computes only what the next one needs: the scaling, the factored
 step system with each member's condition, the directions and H dx, the
 update and the gap.  Every step is checked, but with its block of up to
-32 steps, as array code over a leading step axis: the residuals of the
-step equations, the condition against SINGULAR_CONDITION, and x > 0 and
+32 steps (fewer when the batch has more than 128 coordinates, so that no
+(steps, B, n) array of a block exceeds 4096 elements), as array code over
+a leading step axis: the residuals of the step equations, the condition against SINGULAR_CONDITION, and x > 0 and
 z > 0 after the step.  A member whose step fails a check is rewound to
 the iterate before that step and ends there as numerical_failure, as if
 it had been stopped at that step.
@@ -313,13 +314,13 @@ class SolveResult:
     monitor_violations: int
 
 
-# Steps recorded in one block before it is evaluated and graded.  A deeper
-# block saves little more dispatch.
+# Most steps recorded in one block before it is evaluated and graded.  A
+# deeper block saves little more dispatch.
 _BLOCK = 32
 
-# Elements of one (steps, B, n) array that a flush evaluates at once.  It
-# holds some twenty such arrays, so a chunk bounds its memory near 0.7 MB
-# whatever B n is.
+# Most elements of one (steps, B, n) array of a block: a block holds at most
+# _CHUNK // (B n) steps, and at least one.  A flush holds some twenty such
+# arrays, so this bounds its memory near 0.7 MB whatever B n is.
 _CHUNK = 4096
 
 
@@ -429,7 +430,6 @@ def solve_many(
 
     violations = [0] * len(problems)
     steps = 0  # members step in lockstep, so every active one has taken `steps`
-    depth = 1 if cfg.strict_monitors else _BLOCK
     rows = 0  # steps written to the block and not yet checked and graded
     caller = np.geterr()  # on_block runs under the caller's error state
 
@@ -437,67 +437,53 @@ def solve_many(
         # Check, evaluate and grade the block, pass each member its part up
         # to its first step that failed a check, end that member on the
         # iterate before the step, and return each member's count of false
-        # flags.  The steps go in chunks of at most _CHUNK elements per
-        # (steps, B, n) array, which bounds the memory a flush holds; every
-        # kernel works per step, so the chunks change no bit.
-        # Matrix-vector products broadcast A over the step axis, which
-        # keeps each product a gemv with the bits of the one-step form.
+        # flags.  Matrix-vector products broadcast A over the step axis,
+        # which keeps each product a gemv with the bits of the one-step form.
         nonlocal rows, settle, y
         if not rows:
             return []
+        written = block[:rows]
+        xt, zt = xs[:, :rows], zs[:, :rows]  # before and after each step
+        dx, dy, dz = dxs[:rows], dys[:rows], dzs[:rows]
         # ys[t] is y before step t of the block and ys[t + 1] after it,
         # summed in step order, so each has the bits of y + dy step by step.
-        ys = np.add.accumulate(np.concatenate([y[np.newaxis], dys[:rows]]))
-        failed = kept = 0
-        passing = True  # each member's steps so far all passed
-        span = max(1, _CHUNK // xs[0, 0].size)
-        for begin in range(0, rows, span):
-            chunk = slice(begin, min(begin + span, rows))
-            written = block[chunk]
-            xt, zt = xs[:, chunk], zs[:, chunk]  # before and after each step
-            dx, dz = dxs[chunk], dzs[chunk]
-            np.add(xt[0], dx, out=xt[1])
-            np.add(zt[0], dz, out=zt[1])
-            mu = written["mu"][..., np.newaxis]
-            w = _scaling(xt, zt, mu)
-            p = _p(w, r)
-            a_dx, residual = _verify(
-                xt[0], zt[0], mu * w[0] * p[0], dx, dys[chunk], dz, h_dxs[chunk], A
-            )
-            # A step passes when its residual and condition are within their
-            # limits and its new iterate is interior; each comparison rejects
-            # NaN.  A member keeps its rows up to its first step that fails.
-            passed = (residual <= RESIDUAL_LIMIT) & (written["condition"] <= SINGULAR_CONDITION)
-            passed &= (xt[1].min(axis=-1) > 0.0) & (zt[1].min(axis=-1) > 0.0)
-            valid = np.logical_and.accumulate(passed & passing, axis=0)
-            passing = valid[-1]
-            kept = kept + np.count_nonzero(valid, axis=0)
-            (written["gamma_before"], written["gamma"], written["min_w"],
-             written["eq115_slack"]) = _monitor_terms(w, p, p[0])
-            dx_s, dz_s, qw, written["dxTdz"] = _directions(w[0], xt[0], zt[0], dx, dz)
-            gradient = c + np.matmul(Q, xt[1, ..., np.newaxis])[..., 0]
-            y_after = ys[begin + 1 : chunk.stop + 1, ..., np.newaxis]
-            dual = np.matmul(A.transpose(0, 2, 1), y_after)[..., 0] + zt[1] - gradient
-            written["norm_pw"] = _norm(p[0])
-            written["norm_qw"] = _norm(qw)
-            written["dual_res"] = _norm(dual)
-            written["grad_norm"] = _norm(gradient)
-            written["kernel_defect"] = _norm(dx_s + dz_s - p[0])
-            written["primal_res"] = _norm(np.matmul(A, xt[1, ..., np.newaxis])[..., 0] - b)
-            written["scaled_primal"] = a_dx / written["mu"]
-            written["step_residual"] = residual
-            graded = ("gamma_before", "gamma", "min_w", "eq115_slack", "norm_pw", "norm_qw",
-                      "dxTdz", "gap", "mu")
-            flags, written["contraction_bound"], written["gap_bound"], written["worst_margin"] = (
-                _grade(*(written[name] for name in graded), n, r)
-            )
-            for name, flag in zip(_FLAGS, flags):
-                written[name] = flag
-            failed = failed + np.count_nonzero(~flags & valid, axis=(0, 1))
-        written = block[:rows]
+        ys = np.add.accumulate(np.concatenate([y[np.newaxis], dy]))
+        np.add(xt[0], dx, out=xt[1])
+        np.add(zt[0], dz, out=zt[1])
+        mu = written["mu"][..., np.newaxis]
+        w = _scaling(xt, zt, mu)
+        p = _p(w, r)
+        a_dx, residual = _verify(xt[0], zt[0], mu * w[0] * p[0], dx, dy, dz, h_dxs[:rows], A)
+        # A step passes when its residual and condition are within their
+        # limits and its new iterate is interior; each comparison rejects
+        # NaN.  A member keeps its rows up to its first step that fails.
+        passed = (residual <= RESIDUAL_LIMIT) & (written["condition"] <= SINGULAR_CONDITION)
+        passed &= (xt[1].min(axis=-1) > 0.0) & (zt[1].min(axis=-1) > 0.0)
+        valid = np.logical_and.accumulate(passed, axis=0)
+        (written["gamma_before"], written["gamma"], written["min_w"],
+         written["eq115_slack"]) = _monitor_terms(w, p, p[0])
+        dx_s, dz_s, qw, written["dxTdz"] = _directions(w[0], xt[0], zt[0], dx, dz)
+        gradient = c + np.matmul(Q, xt[1, ..., np.newaxis])[..., 0]
+        dual = np.matmul(A.transpose(0, 2, 1), ys[1:, ..., np.newaxis])[..., 0] + zt[1] - gradient
+        written["norm_pw"] = _norm(p[0])
+        written["norm_qw"] = _norm(qw)
+        written["dual_res"] = _norm(dual)
+        written["grad_norm"] = _norm(gradient)
+        written["kernel_defect"] = _norm(dx_s + dz_s - p[0])
+        written["primal_res"] = _norm(np.matmul(A, xt[1, ..., np.newaxis])[..., 0] - b)
+        written["scaled_primal"] = a_dx / written["mu"]
+        written["step_residual"] = residual
+        graded = ("gamma_before", "gamma", "min_w", "eq115_slack", "norm_pw", "norm_qw",
+                  "dxTdz", "gap", "mu")
+        flags, written["contraction_bound"], written["gap_bound"], written["worst_margin"] = (
+            _grade(*(written[name] for name in graded), n, r)
+        )
+        for name, flag in zip(_FLAGS, flags):
+            written[name] = flag
         written["iteration"] = np.arange(steps - rows + 1, steps + 1)[:, np.newaxis]
         y = ys[rows]
-        failed, kept = failed.tolist(), kept.tolist()
+        failed = np.count_nonzero(~flags & valid, axis=(0, 1)).tolist()
+        kept = np.count_nonzero(valid, axis=0).tolist()
         with np.errstate(**caller):
             for k, i in enumerate(ids):
                 violations[i] += failed[k]
@@ -506,7 +492,7 @@ def solve_many(
         for k, t in enumerate(kept):
             if t < rows:  # step t failed
                 x[k], y[k], z[k] = xs[0, t, k], ys[t, k], zs[0, t, k]
-                gap[k] = written["gap"][t - 1, k] if t else opening_gap[k]
+                gap[k] = _dot(x[k], z[k])
                 finish(k, "numerical_failure", written["mu"][t, k], steps - rows + t)
                 settle = True
         rows = 0
@@ -551,6 +537,7 @@ def solve_many(
                         a[keep] for a in (mu, gap, limit, x, y, z, A, b, c, Q, *space)
                     )
                 settle, stop = False, limit.min()
+                depth = 1 if cfg.strict_monitors else max(1, min(_BLOCK, _CHUNK // x.size))
                 # Each step's x and z before and after it, and its dx, dz,
                 # H dx and dy.
                 xs, zs = np.empty((2, 2, depth, *x.shape))
@@ -564,7 +551,6 @@ def solve_many(
             dx, dy, dz, h_dx = _newton_step(*space[:2], x, z, column * w * _p(w, r), inverse)
             if not rows:  # a graded block belongs to its Trace parts
                 block = np.empty((depth, len(ids)), _TRACE_ROW)
-                opening_gap = gap
             stored = (x, z, dx, dz, h_dx, dy)
             for stack, value in zip((xs[0], zs[0], dxs, dzs, h_dxs, dys), stored):
                 stack[rows] = value

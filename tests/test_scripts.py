@@ -33,6 +33,21 @@ def test_inequality_scan_prints_the_range_its_verdict_grades(capsys):
     assert 0.0 <= float(low) <= float(high) <= 1.0 + 1e-9
 
 
+@pytest.mark.parametrize(
+    "bad",
+    # Powers outside [1, R_MAX], a one-point grid, and a grid whose one
+    # allocation numpy refuses at once (8 TB), so the test gets no memory.
+    [["--r-max", "13"], ["--r-max", "0"], ["--steps", "1"], ["--steps", "1000000000000"]],
+)
+def test_inequality_scan_rejects_bad_values_with_an_error_line(bad, capsys):
+    script = load("check_inequalities")
+    assert script.main(bad) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ")
+    assert "Traceback" not in captured.err
+
+
 def test_trace_digest_is_reproducible(capsys):
     script = load("trace_digest")
     argv = ["--n", "4", "--seeds", "1", "--r", "1"]

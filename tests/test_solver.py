@@ -567,12 +567,24 @@ class TestBlocks:
         assert [shape[0] for shape in verified] == steps
 
     def test_block_boundaries_change_no_bit(self, monkeypatch):
+        # A block holds at most min(_BLOCK, _CHUNK // (B n)) steps: with
+        # _CHUNK = 72 and n = 6 that is 3 while all four members run, and
+        # never more than 72 // 6 = 12.
         cfg = SolverConfig(epsilon=1e-6)
         whole = solve_many(staggered_batch(), cfg)
-        monkeypatch.setattr(solver_module, "_BLOCK", 7)
-        for got, want in zip(solve_many(staggered_batch(), cfg), whole):
-            assert_same_result(got, want)
-            assert np.array_equal(got.trace.condition, want.trace.condition)
+        together = min(result.iterations for result in whole)
+        for name, value in [("_BLOCK", 7), ("_CHUNK", 72)]:
+            with monkeypatch.context() as patch:
+                patch.setattr(solver_module, name, value)
+                for got, want in zip(solve_many(staggered_batch(), cfg), whole):
+                    assert_same_result(got, want)
+                    assert got.trace.condition.tobytes() == want.trace.condition.tobytes()
+                blocks = []
+                solve_many(staggered_batch(), cfg, on_block=lambda i, block: blocks.append(block))
+                depth, chunk = solver_module._BLOCK, solver_module._CHUNK
+            sizes = [len(block) for block in blocks if block.iteration[-1] <= together]
+            assert max(sizes) == min(depth, chunk // 24)
+            assert max(len(block) for block in blocks) <= min(depth, chunk // 6)
 
     def test_strict_monitors_grade_every_step(self, monkeypatch):
         calls = self.counted(monkeypatch, "_grade")
