@@ -27,7 +27,8 @@ CSV_HEADER = (
 def grid_parser(description: str):
     """A parser with the grid flags --n, --kinds, --seeds, --r and --eps.
 
-    trace_digest.py takes them from here; check them with checked_configs.
+    trace_digest.py takes them from here; check them with checked_configs,
+    then make the problems with grid_problems.
     """
     parser = argparse.ArgumentParser(description=description)
     parser.add_argument(
@@ -64,6 +65,22 @@ def checked_configs(parser, args) -> dict:
         parser.error(str(exc))
 
 
+def grid_problems(parser, args) -> dict:
+    """Each n's problems by (kind, seed), in grid order, all made before any
+    solve; an n whose instance cannot be allocated is a usage error."""
+    problems = {}
+    for n in args.n:
+        try:
+            problems[n] = {
+                (kind, seed): generate_instance(n, n // 2, kind, seed)
+                for kind in args.kinds
+                for seed in args.seeds
+            }
+        except MemoryError:
+            parser.error(f"--n: cannot allocate an instance with n = {n}")
+    return problems
+
+
 def summarize(n, kind, seed, r, result, max_gamma):
     """The printed line and the CSV row of one run, and whether it is clean.
 
@@ -95,6 +112,7 @@ def main(argv=None) -> int:
     parser.add_argument("--out", help="also write the table to this CSV path")
     args = parser.parse_args(argv)
     configs = checked_configs(parser, args)
+    problems = grid_problems(parser, args)
     try:
         # Append mode proves the path writable without emptying a table that
         # is already there; `run` replaces its content once all runs are solved.
@@ -102,20 +120,16 @@ def main(argv=None) -> int:
     except OSError as exc:
         parser.error(f"--out: cannot write {args.out}: {exc.strerror}")
     with out:
-        return run(args, configs, out)
+        return run(args, configs, problems, out)
 
 
-def run(args, configs, out) -> int:
+def run(args, configs, grid, out) -> int:
     rows = []
     clean = True
     print(f"{'n':>4} {'m':>4} {'kind':<10} {'seed':>4} {'r':>2} "
           f"{'iters':>7} {'bound':>7} {'used':>6} status")
     for n in args.n:
-        problems = {
-            (kind, seed): generate_instance(n, n // 2, kind, seed)
-            for kind in args.kinds
-            for seed in args.seeds
-        }
+        problems = grid[n]
         summaries = {}
         for r in args.r:
             # The table needs only each run's largest proximity, so the

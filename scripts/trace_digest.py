@@ -27,7 +27,7 @@ from pathlib import Path
 
 import numpy as np
 
-from lcco_ipm import TRACE_HEADER, generate_instance, solve_many, trace_to_csv
+from lcco_ipm import TRACE_HEADER, solve_many, trace_to_csv
 
 # scripts/ is not a package, so the sibling is loaded by its path.
 _spec = importlib.util.spec_from_file_location("run_grid", Path(__file__).with_name("run_grid.py"))
@@ -44,13 +44,11 @@ def main(argv=None) -> int:
     parser = run_grid.grid_parser(__doc__.splitlines()[0])
     args = parser.parse_args(argv)
     configs = run_grid.checked_configs(parser, args)
+    grid = run_grid.grid_problems(parser, args)
     digest = hashlib.sha256()
     runs = steps = 0
     for n in args.n:
-        problems = [
-            generate_instance(n, n // 2, kind, seed)
-            for kind, seed in itertools.product(args.kinds, args.seeds)
-        ]
+        problems = [grid[n][run] for run in itertools.product(args.kinds, args.seeds)]
         for r in args.r:
             csv = [hashlib.sha256(f"{TRACE_HEADER}\n".encode()) for _ in problems]
             reprs = [hashlib.sha256() for _ in problems]

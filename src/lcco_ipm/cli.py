@@ -247,16 +247,20 @@ def _print_check(problem, result: SolveResult) -> None:
     )
 
 
+def _no_start(path: str) -> int:
+    print(
+        f"error: {path} has no start block; the solver needs an "
+        "admissible interior start",
+        file=sys.stderr,
+    )
+    return _EXIT_BY_STATUS["invalid_start"]
+
+
 def run_solve(args) -> int:
     problem = _load_problem(args.instance)
     cfg = _build_config(args, args.r)
     if problem.start is None:
-        print(
-            f"error: {args.instance} has no start block; the solver needs an "
-            "admissible interior start",
-            file=sys.stderr,
-        )
-        return 2
+        return _no_start(args.instance)
     result = solve(problem, cfg)
     _print_summary(args.instance, problem, cfg, result)
     if args.trace:
@@ -295,12 +299,7 @@ def run_sweep(args) -> int:
     if args.r_max < 1:
         raise _UsageError(f"--r-max must be at least 1, got {args.r_max}")
     if problem.start is None:
-        print(
-            f"error: {args.instance} has no start block; the solver needs an "
-            "admissible interior start",
-            file=sys.stderr,
-        )
-        return 2
+        return _no_start(args.instance)
     configs = [_build_config(args, r) for r in range(1, args.r_max + 1)]
     results = [solve(problem, cfg) for cfg in configs]
     rows = [

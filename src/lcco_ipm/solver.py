@@ -16,13 +16,14 @@ guarantee, and a strict mode promotes any breach to a hard failure.
 
 A step computes only what the next one needs: the scaling, the factored
 step system with each member's condition, the directions and H dx, the
-update and the gap.  Every step is checked, but with its block of up to
-32 steps (fewer when the batch has more than 128 coordinates, so that no
-(steps, B, n) array of a block exceeds 4096 elements), as array code over
-a leading step axis: the residuals of the step equations, the condition against SINGULAR_CONDITION, and x > 0 and
-z > 0 after the step.  A member whose step fails a check is rewound to
-the iterate before that step and ends there as numerical_failure, as if
-it had been stopped at that step.
+update and the gap.  Every step is checked, but with its block, as array
+code over a leading step axis: the residuals of the step equations, the
+condition against SINGULAR_CONDITION, and x > 0 and z > 0 after the step.
+A block of a batch of B members with n coordinates holds 4096 // (B n)
+steps, at least one and exactly one under strict monitors, so that no
+(steps, B, n) array of it exceeds 4096 elements.  A member whose step
+fails a check is rewound to the iterate before that step and ends there
+as numerical_failure, as if it had been stopped at that step.
 """
 
 from __future__ import annotations
@@ -314,13 +315,10 @@ class SolveResult:
     monitor_violations: int
 
 
-# Most steps recorded in one block before it is evaluated and graded.  A
-# deeper block saves little more dispatch.
-_BLOCK = 32
-
-# Most elements of one (steps, B, n) array of a block: a block holds at most
-# _CHUNK // (B n) steps, and at least one.  A flush holds some twenty such
-# arrays, so this bounds its memory near 0.7 MB whatever B n is.
+# Most elements of one (steps, B, n) array of a block: a block holds
+# _CHUNK // (B n) steps, and at least one, before it is checked and graded.
+# A flush holds some twenty such arrays, so this bounds its memory near
+# 0.7 MB whatever B n is.
 _CHUNK = 4096
 
 
@@ -537,7 +535,7 @@ def solve_many(
                         a[keep] for a in (mu, gap, limit, x, y, z, A, b, c, Q, *space)
                     )
                 settle, stop = False, limit.min()
-                depth = 1 if cfg.strict_monitors else max(1, min(_BLOCK, _CHUNK // x.size))
+                depth = 1 if cfg.strict_monitors else max(1, _CHUNK // x.size)
                 # Each step's x and z before and after it, and its dx, dz,
                 # H dx and dy.
                 xs, zs = np.empty((2, 2, depth, *x.shape))

@@ -33,7 +33,8 @@ __all__ = [
     "reference_solve_qp",
 ]
 
-# Enumeration caps keeping the subset counts near a thousand.
+# Enumeration caps keeping the subset counts near a thousand, and each
+# stack of subset systems to a few hundred kilobytes.
 LP_SIZE_LIMIT = 12
 QP_SIZE_LIMIT = 10
 
@@ -46,10 +47,6 @@ _SOLVE_RTOL = 1e-8
 # Sign tolerances for optimality certificates.
 _REDUCED_COST_TOL = 1e-9
 _RAY_TOL = 1e-10
-
-# Subsets per stacked LAPACK call: enough to amortise numpy's per-call
-# overhead, few enough to keep each stack to a few hundred kilobytes.
-_CHUNK = 128
 
 
 class OracleError(RuntimeError):
@@ -117,10 +114,10 @@ class ReferenceSolution:
     certificates: str
 
 
-def _chunks(subsets, width: int):
-    """Successive (count, width) index arrays of at most _CHUNK subsets each."""
-    while block := list(itertools.islice(subsets, _CHUNK)):
-        yield np.array(block, dtype=np.intp).reshape(len(block), width)
+def _subsets(n: int, size: int) -> np.ndarray:
+    """Every size-subset of range(n), one per row in lexicographic order."""
+    subsets = list(itertools.combinations(range(n), size))
+    return np.array(subsets, dtype=np.intp).reshape(len(subsets), size)
 
 
 def _nonsingular(stack) -> np.ndarray:
@@ -143,29 +140,15 @@ def _matvec(matrices, vectors) -> np.ndarray:
     return np.matmul(matrices, vectors[..., None])[..., 0]
 
 
-def _first_minimum(objectives) -> int:
-    """Index of the first least objective, NaN never winning (as with `<`)."""
-    return int(np.argmin(np.where(np.isnan(objectives), np.inf, objectives)))
+def _first_minimum(objectives):
+    """Index of the first least objective, or None when none is below inf.
 
-
-def _raise_on_ray(p: Problem, columns, bases, multipliers) -> None:
-    """Raise UnboundedError at the first feasible basis, then column, in walk
-    order whose negative reduced cost enters along a nonpositive direction."""
-    # One column dot per entry, the product `A[:, j] @ multipliers` takes.
-    reduced = p.objective.c - np.vecdot(p.A.T, multipliers[:, None, :])
-    nonbasic = np.ones((len(columns), p.n), dtype=bool)
-    nonbasic[np.arange(len(columns))[:, None], columns] = False
-    basis_at, entering = np.nonzero(nonbasic & (reduced < -_REDUCED_COST_TOL))
-    if not len(entering):
-        return
-    directions = np.linalg.solve(bases[basis_at], p.A.T[entering][..., None])[..., 0]
-    rays = np.flatnonzero(directions.max(axis=1) <= _RAY_TOL)
-    if len(rays):
-        i = rays[0]
-        raise UnboundedError(
-            f"objective decreases without bound along column {entering[i]} "
-            f"from basis {tuple(map(int, columns[basis_at[i]]))}"
-        )
+    NaN never wins, as with `<`.
+    """
+    below = objectives < math.inf
+    if not below.any():
+        return None
+    return int(np.argmin(np.where(below, objectives, math.inf)))
 
 
 def reference_solve_lp(p: Problem) -> ReferenceSolution:
@@ -175,10 +158,10 @@ def reference_solve_lp(p: Problem) -> ReferenceSolution:
     feasible basic solutions, and returns the first one attaining the
     minimal objective.  At every feasible basis the reduced costs are
     inspected: a negative reduced cost whose entering column yields a
-    nonnegative ray direction certifies an unbounded objective.  The walk
-    takes the subsets in chunks and solves each chunk's bases with one
-    stacked LAPACK call, which runs the same dgesv on every basis as a
-    call per basis would.
+    nonnegative ray direction certifies an unbounded objective, reported at
+    the first such basis, then column, in walk order.  The walk stacks
+    every basis and solves them with one LAPACK call, which runs the same
+    dgesv on every basis as a call per basis would.
     """
     if p.objective.kind != "linear":
         raise ValueError("reference_solve_lp requires a linear objective")
@@ -187,55 +170,60 @@ def reference_solve_lp(p: Problem) -> ReferenceSolution:
         raise ValueError(f"vertex enumeration is limited to n <= {LP_SIZE_LIMIT}")
     c = p.objective.c
     b_scale = 1.0 + float(np.linalg.norm(p.b))
-    best_objective = math.inf
-    best_x = None
-    best_columns = None
-    for columns in _chunks(itertools.combinations(range(n), m), m):
-        # C-contiguous like A[:, picked], so each residual gemv is the same.
-        bases = p.A[:, columns].transpose(1, 0, 2).copy()
-        solvable = _nonsingular(bases)
-        columns, bases = columns[solvable], bases[solvable]
-        x_basic = np.linalg.solve(bases, p.b)
-        residual = _row_norms(_matvec(bases, x_basic) - p.b)
-        feasible = ~(residual > _SOLVE_RTOL * b_scale) & ~(
-            x_basic.min(axis=1) < -_FEASIBILITY_TOL
+    columns = _subsets(n, m)
+    # C-contiguous like A[:, picked], so each residual gemv is the same.
+    bases = p.A[:, columns].transpose(1, 0, 2).copy()
+    solvable = _nonsingular(bases)
+    columns, bases = columns[solvable], bases[solvable]
+    x_basic = np.linalg.solve(bases, p.b)
+    residual = _row_norms(_matvec(bases, x_basic) - p.b)
+    feasible = ~(residual > _SOLVE_RTOL * b_scale) & ~(
+        x_basic.min(axis=1) < -_FEASIBILITY_TOL
+    )
+    columns, bases, x_basic = columns[feasible], bases[feasible], x_basic[feasible]
+    transposes = bases.transpose(0, 2, 1)
+    failure = None
+    try:
+        multipliers = np.linalg.solve(transposes, c[columns][..., None])[..., 0]
+    except np.linalg.LinAlgError as exc:
+        # A basis can pass its own LU while its transpose meets an exact
+        # zero pivot; the walk fails there, after testing the rays of the
+        # bases before it.
+        failure = exc
+        stop = int(np.argmin(_nonsingular(transposes)))
+        columns, bases = columns[:stop], bases[:stop]
+        multipliers = np.linalg.solve(
+            transposes[:stop], c[columns][..., None]
+        )[..., 0]
+    # One column dot per entry, the product `A[:, j] @ multipliers` takes.
+    reduced = c - np.vecdot(p.A.T, multipliers[:, None, :])
+    rows = np.arange(len(columns))[:, None]
+    nonbasic = np.ones((len(columns), n), dtype=bool)
+    nonbasic[rows, columns] = False
+    basis_at, entering = np.nonzero(nonbasic & (reduced < -_REDUCED_COST_TOL))
+    directions = np.linalg.solve(bases[basis_at], p.A.T[entering][..., None])[..., 0]
+    rays = np.flatnonzero(directions.max(axis=1) <= _RAY_TOL)
+    if len(rays):
+        i = rays[0]
+        raise UnboundedError(
+            f"objective decreases without bound along column {entering[i]} "
+            f"from basis {tuple(map(int, columns[basis_at[i]]))}"
         )
-        columns, bases, x_basic = columns[feasible], bases[feasible], x_basic[feasible]
-        if not len(columns):
-            continue
-        transposes = bases.transpose(0, 2, 1)
-        failure = None
-        try:
-            multipliers = np.linalg.solve(transposes, c[columns][..., None])[..., 0]
-        except np.linalg.LinAlgError as exc:
-            # A basis can pass its own LU while its transpose meets an
-            # exact zero pivot; the walk fails there, after testing the
-            # rays of the bases before it.
-            failure = exc
-            stop = int(np.argmin(_nonsingular(transposes)))
-            columns, bases = columns[:stop], bases[:stop]
-            multipliers = np.linalg.solve(
-                transposes[:stop], c[columns][..., None]
-            )[..., 0]
-        _raise_on_ray(p, columns, bases, multipliers)
-        if failure is not None:
-            raise failure
-        x = np.zeros((len(columns), n))
-        x[np.arange(len(columns))[:, None], columns] = np.maximum(x_basic, 0.0)
-        objectives = np.vecdot(c, x)
-        i = _first_minimum(objectives)
-        if objectives[i] < best_objective:
-            best_objective = float(objectives[i])
-            best_x = x[i].copy()
-            best_columns = tuple(map(int, columns[i]))
-    if best_x is None:
+    if failure is not None:
+        raise failure
+    x = np.zeros((len(columns), n))
+    x[rows, columns] = np.maximum(x_basic, 0.0)
+    objectives = np.vecdot(c, x)
+    i = _first_minimum(objectives)
+    if i is None:
         raise InfeasibleError("no feasible basic solution exists")
-    best_x.setflags(write=False)
+    x_star = x[i].copy()
+    x_star.setflags(write=False)
     return ReferenceSolution(
-        x_star=best_x,
-        objective_star=best_objective,
+        x_star=x_star,
+        objective_star=float(objectives[i]),
         method="vertex_enumeration",
-        certificates=f"basis columns {best_columns}",
+        certificates=f"basis columns {tuple(map(int, columns[i]))}",
     )
 
 
@@ -249,8 +237,8 @@ def reference_solve_qp(p: Problem) -> ReferenceSolution:
     part certifies optimality.  The first accepted candidate with minimal
     objective wins.  Feasible-but-uncertified enumeration (possible when
     Q is singular on a face) is reported as DegenerateError rather than
-    guessed at.  Pinned sets of one size are taken in chunks, and each
-    chunk's KKT systems are solved with one stacked LAPACK call.
+    guessed at.  The pinned sets of one size are stacked, and their KKT
+    systems are solved with one LAPACK call.
     """
     if p.objective.kind != "quadratic":
         raise ValueError("reference_solve_qp requires a quadratic objective")
@@ -265,51 +253,46 @@ def reference_solve_qp(p: Problem) -> ReferenceSolution:
     feasible_found = False
     for size in range(n + 1):
         k = n - size
-        for pinned in _chunks(itertools.combinations(range(n), size), size):
-            rows = np.arange(len(pinned))[:, None]
-            is_free = np.ones((len(pinned), n), dtype=bool)
-            is_free[rows, pinned] = False
-            free = np.nonzero(is_free)[1].reshape(len(pinned), k)
-            a_free = p.A[:, free].transpose(1, 0, 2)
-            kkt = np.zeros((len(pinned), k + m, k + m))
-            kkt[:, :k, :k] = q[free[:, :, None], free[:, None, :]]
-            kkt[:, :k, k:] = a_free.transpose(0, 2, 1)
-            kkt[:, k:, :k] = a_free
-            rhs = np.concatenate(
-                [-c[free], np.broadcast_to(p.b, (len(pinned), m))], axis=1
-            )
-            solvable = _nonsingular(kkt)
-            pinned, free, kkt, rhs = (
-                pinned[solvable], free[solvable], kkt[solvable], rhs[solvable]
-            )
-            solution = np.linalg.solve(kkt, rhs[..., None])[..., 0]
-            scale = 1.0 + _row_norms(rhs)
-            accepted = ~(_row_norms(_matvec(kkt, solution) - rhs) > _SOLVE_RTOL * scale)
-            if k:
-                accepted &= ~(solution[:, :k].min(axis=1) < -_FEASIBILITY_TOL)
-            if not accepted.any():
-                continue
-            feasible_found = True
-            pinned, free = pinned[accepted], free[accepted]
-            solution = solution[accepted]
-            x = np.zeros((len(pinned), n))
-            x[np.arange(len(pinned))[:, None], free] = np.maximum(solution[:, :k], 0.0)
-            qx = _matvec(q, x)
-            if size:
-                reduced = qx + c + _matvec(p.A.T, solution[:, k:])
-                certified = ~(
-                    np.take_along_axis(reduced, pinned, axis=1).min(axis=1)
-                    < -_REDUCED_COST_TOL
-                )
-                pinned, x, qx = pinned[certified], x[certified], qx[certified]
-                if not len(pinned):
-                    continue
-            objectives = np.vecdot(c, x) + 0.5 * np.vecdot(x, qx)
-            i = _first_minimum(objectives)
-            if objectives[i] < best_objective:
-                best_objective = float(objectives[i])
-                best_x = x[i].copy()
-                best_pinned = tuple(map(int, pinned[i]))
+        pinned = _subsets(n, size)
+        # Complements reverse the lexicographic order, so row i of `free`
+        # holds the variables that row i of `pinned` leaves free.
+        free = _subsets(n, k)[::-1]
+        a_free = p.A[:, free].transpose(1, 0, 2)
+        kkt = np.zeros((len(pinned), k + m, k + m))
+        kkt[:, :k, :k] = q[free[:, :, None], free[:, None, :]]
+        kkt[:, :k, k:] = a_free.transpose(0, 2, 1)
+        kkt[:, k:, :k] = a_free
+        rhs = np.concatenate(
+            [-c[free], np.broadcast_to(p.b, (len(pinned), m))], axis=1
+        )
+        solvable = _nonsingular(kkt)
+        pinned, free, kkt, rhs = (
+            pinned[solvable], free[solvable], kkt[solvable], rhs[solvable]
+        )
+        solution = np.linalg.solve(kkt, rhs[..., None])[..., 0]
+        scale = 1.0 + _row_norms(rhs)
+        accepted = ~(_row_norms(_matvec(kkt, solution) - rhs) > _SOLVE_RTOL * scale)
+        accepted &= ~(solution[:, :k].min(axis=1, initial=math.inf) < -_FEASIBILITY_TOL)
+        if not accepted.any():
+            continue
+        feasible_found = True
+        pinned, free = pinned[accepted], free[accepted]
+        solution = solution[accepted]
+        x = np.zeros((len(pinned), n))
+        x[np.arange(len(pinned))[:, None], free] = np.maximum(solution[:, :k], 0.0)
+        qx = _matvec(q, x)
+        reduced = qx + c + _matvec(p.A.T, solution[:, k:])
+        certified = ~(
+            np.take_along_axis(reduced, pinned, axis=1).min(axis=1, initial=math.inf)
+            < -_REDUCED_COST_TOL
+        )
+        pinned, x, qx = pinned[certified], x[certified], qx[certified]
+        objectives = np.vecdot(c, x) + 0.5 * np.vecdot(x, qx)
+        i = _first_minimum(objectives)
+        if i is not None and objectives[i] < best_objective:
+            best_objective = float(objectives[i])
+            best_x = x[i].copy()
+            best_pinned = tuple(map(int, pinned[i]))
     if best_x is None:
         if feasible_found:
             raise DegenerateError(

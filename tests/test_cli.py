@@ -119,6 +119,17 @@ class TestExitCodes:
         assert main(["solve", str(path)]) == 2
         assert "no start block" in capsys.readouterr().err
 
+    def test_missing_start_sweep_exits_two_after_checking_r_max(self, tmp_path, capsys):
+        path = write_startless(tmp_path)
+        out = str(tmp_path / "sweep.csv")
+        assert main(["sweep", str(path), "--r-max", "0", "--out", out]) == 1
+        assert "--r-max must be at least 1" in capsys.readouterr().err
+        assert main(["solve", str(path)]) == 2
+        solve_err = capsys.readouterr().err
+        assert main(["sweep", str(path), "--r-max", "2", "--out", out]) == 2
+        assert capsys.readouterr().err == solve_err
+        assert "no start block" in solve_err
+
     def test_inadmissible_start_exits_two(self, tmp_path, capsys):
         path = write_bad_start(tmp_path)
         assert main(["solve", str(path)]) == 2

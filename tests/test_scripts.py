@@ -65,7 +65,7 @@ def test_trace_digest_equals_one_built_from_whole_solo_traces(block, monkeypatch
     # digests in blocks of any depth, hash as the whole trace of a solo run
     # at the default depth does.
     script = load("trace_digest")
-    monkeypatch.setattr(solver_module, "_BLOCK", block)
+    monkeypatch.setattr(solver_module, "_CHUNK", 16 * block)  # B n = 16
     assert script.main(["--n", "4", "--seeds", "1", "2", "--r", "1", "2"]) == 0
     monkeypatch.undo()
     digest = hashlib.sha256()
@@ -131,6 +131,31 @@ def test_trace_digest_rejects_bad_values_like_run_grid(bad, capsys):
     assert captured.out == ""
     assert captured.err.startswith("usage: ")
     assert "error: " in captured.err
+    assert "Traceback" not in captured.err
+
+
+@pytest.mark.parametrize("name", ["run_grid", "trace_digest"])
+def test_an_n_too_large_to_allocate_is_a_usage_error(name, monkeypatch, capsys):
+    script = load(name)
+    grid = getattr(script, "run_grid", script)
+    made = []
+
+    def generate(n, m, kind, seed):
+        if n > 4:
+            raise MemoryError
+        made.append(n)
+        return generate_instance(n, m, kind, seed)
+
+    monkeypatch.setattr(grid, "generate_instance", generate)
+    monkeypatch.setattr(script, "solve_many", None)  # nothing may be solved
+    with pytest.raises(SystemExit) as exit_info:
+        script.main(["--n", "4", "100000", "--seeds", "1", "--r", "1"])
+    assert exit_info.value.code == 2
+    assert made == [4, 4]
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("usage: ")
+    assert "error: --n: cannot allocate an instance with n = 100000" in captured.err
     assert "Traceback" not in captured.err
 
 

@@ -549,8 +549,9 @@ class TestBlocks:
     def test_grader_runs_once_per_block_or_membership_change(self, monkeypatch, block):
         # The step checks, the scaled directions and the monitor terms are
         # evaluated with the grading, once per block over all of its steps,
-        # not per step.
-        monkeypatch.setattr(solver_module, "_BLOCK", block)
+        # not per step.  Blocks hold `block` steps while all four members
+        # (B n = 24) run, and more once some have left.
+        monkeypatch.setattr(solver_module, "_CHUNK", 24 * block)
         calls = self.counted(monkeypatch, "_grade")
         directions = self.counted(monkeypatch, "_directions")
         terms = self.counted(monkeypatch, "_monitor_terms")
@@ -567,24 +568,30 @@ class TestBlocks:
         assert [shape[0] for shape in verified] == steps
 
     def test_block_boundaries_change_no_bit(self, monkeypatch):
-        # A block holds at most min(_BLOCK, _CHUNK // (B n)) steps: with
-        # _CHUNK = 72 and n = 6 that is 3 while all four members run, and
-        # never more than 72 // 6 = 12.
+        # A block holds _CHUNK // (B n) steps: with _CHUNK = 72 and n = 6
+        # that is 3 while all four members run, and never more than
+        # 72 // 6 = 12.
         cfg = SolverConfig(epsilon=1e-6)
         whole = solve_many(staggered_batch(), cfg)
         together = min(result.iterations for result in whole)
-        for name, value in [("_BLOCK", 7), ("_CHUNK", 72)]:
+        for chunk in (168, 72):
             with monkeypatch.context() as patch:
-                patch.setattr(solver_module, name, value)
+                patch.setattr(solver_module, "_CHUNK", chunk)
                 for got, want in zip(solve_many(staggered_batch(), cfg), whole):
                     assert_same_result(got, want)
                     assert got.trace.condition.tobytes() == want.trace.condition.tobytes()
                 blocks = []
                 solve_many(staggered_batch(), cfg, on_block=lambda i, block: blocks.append(block))
-                depth, chunk = solver_module._BLOCK, solver_module._CHUNK
             sizes = [len(block) for block in blocks if block.iteration[-1] <= together]
-            assert max(sizes) == min(depth, chunk // 24)
-            assert max(len(block) for block in blocks) <= min(depth, chunk // 6)
+            assert max(sizes) == chunk // 24
+            assert max(len(block) for block in blocks) <= chunk // 6
+
+    def test_a_solo_solve_within_its_depth_is_one_block(self, monkeypatch):
+        # 4096 // 10 = 409 steps hold the whole 369-step solve at n = 10.
+        verified = self.counted(monkeypatch, "_verify")
+        result = solve(generate_instance(10, 5, "quadratic", 1), SolverConfig(epsilon=1e-6))
+        assert result.iterations == 369
+        assert verified == [(369, 1, 10)]
 
     def test_strict_monitors_grade_every_step(self, monkeypatch):
         calls = self.counted(monkeypatch, "_grade")
@@ -652,8 +659,8 @@ class TestStepChecks:
     @pytest.mark.parametrize("gate", ["residual", "interior", "condition"])
     def test_a_member_failing_mid_block_ends_before_that_step(self, monkeypatch, gate, strict):
         # The middle member fails one check at step 45, the 13th step of its
-        # second 32-step block; the others run on to their cap.
-        monkeypatch.setattr(solver_module, "_BLOCK", 32)
+        # second 32-step block (B n = 18); the others run on to their cap.
+        monkeypatch.setattr(solver_module, "_CHUNK", 576)
         cfg = SolverConfig(epsilon=1e-14, max_iterations=70, strict_monitors=strict)
         target = tiny_x(generate_instance(6, 3, "linear", 62))
         problems = [generate_instance(6, 3, "quadratic", 61), target,

@@ -411,7 +411,7 @@ EDGE_CASES = {
         [8.0, 7.0, 6.0, 5.0, 4.0, 3.0, 2.0, 1.0, 0.0, -0.5, -0.5, -10.0],
     ),
     "infeasible_lp": lp([[1.0, 1.0]], [-1.0], [1.0, 1.0]),
-    # Every basis ties; the first one must win whatever the chunking.
+    # Every basis ties; the first one must win.
     "all_tied_lp": lp([[1.0] * 9], [2.0], [1.0] * 9),
     "degenerate_qp": qp([[1.0, -1.0]], [0.0], [-1.0, -1.0], np.zeros((2, 2))),
     "infeasible_qp": qp([[1.0, 1.0]], [-1.0], [0.0, 0.0], np.eye(2)),
@@ -437,22 +437,40 @@ def _expected(key):
 
 
 class TestStackedWalk:
-    """The stacked oracles give the per-subset walk's outcome, bit for bit,
-    whatever the chunk size."""
+    """The stacked oracles give the per-subset walk's outcome, bit for bit."""
 
-    @pytest.fixture(params=[None, 1, 7], ids=["default", "chunk1", "chunk7"])
-    def chunk(self, request, monkeypatch):
-        if request.param is not None:
-            monkeypatch.setattr(verifier, "_CHUNK", request.param)
-
-    def test_generated_instances(self, chunk):
+    def test_generated_instances(self):
         for key in GENERATED:
             p = _generated(key)
             assert _outcome(_oracles(p)[1], p) == _expected(key), key
 
-    def test_edge_cases(self, chunk):
+    def test_edge_cases(self):
         for name, p in EDGE_CASES.items():
             assert _outcome(_oracles(p)[1], p) == _expected(name), name
+
+    def test_all_nan_objectives_are_infeasible(self):
+        # Basis (0, 1) alone is feasible, and its objective 1e309 - 1e309
+        # is NaN, which never beats inf.
+        p = lp([[1.0, 0.0, -1.0], [0.0, 1.0, -1.0]], [10.0, 10.0], [1e308, -1e308, 0.0])
+        with np.errstate(over="ignore", invalid="ignore"):
+            want = _outcome(_walk_lp, p)
+            assert _outcome(reference_solve_lp, p) == want
+        assert want == (InfeasibleError, "no feasible basic solution exists")
+
+    def test_one_stack_per_walk_or_pinned_set_size(self, monkeypatch):
+        stacks = []
+        nonsingular = verifier._nonsingular
+
+        def counting(stack):
+            stacks.append(stack.shape)
+            return nonsingular(stack)
+
+        monkeypatch.setattr(verifier, "_nonsingular", counting)
+        reference_solve_lp(_generated(("linear", 12, 6, 1)))
+        assert stacks == [(math.comb(12, 6), 6, 6)]
+        stacks.clear()
+        reference_solve_qp(_generated(("quadratic", 10, 5, 1)))
+        assert [shape[0] for shape in stacks] == [math.comb(10, size) for size in range(11)]
 
     def test_row_norms_are_the_bits_of_a_one_row_norm(self):
         # Residual norms meet tolerances, so a pairwise sum (as in
