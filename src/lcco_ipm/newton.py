@@ -28,8 +28,8 @@ exact: ||G_eq||_1 ||G_eq^-1||_1, where LAPACK gecon would only estimate
 it from below.  So the gate, which fails a step past SINGULAR_CONDITION
 on the larger of the floor and that condition, is never looser than one
 graded by gecon.  If some member's G_eq has an exact zero pivot, the
-batched call fails as a whole; the members are then inverted one by
-one, and the singular ones get an infinite condition.
+batched call fails as a whole; the others are then inverted in one call,
+and the singular ones, found by slogdet, get an infinite condition.
 v = W N'(h/x), with W = S G_eq^-1 S = G^-1, and one pass of iterative
 refinement: the residual h/x - M dx against the unscaled M, projected by
 N', mapped by the same W.  No regularization is applied: the monitors
@@ -161,21 +161,18 @@ def _factor(basis, projector, reduced, grade, x: np.ndarray, z: np.ndarray):
     rows, columns = scale[:, :, np.newaxis], scale[:, np.newaxis, :]
     matrix *= rows
     matrix *= columns
-    singular = []
+    singular = None
     try:
         inverse = np.linalg.inv(matrix)
     except np.linalg.LinAlgError:
-        # Some member has an exact zero pivot: invert the members one by
-        # one, which gives each the bits of the stacked call.
+        # Some member has an exact zero pivot, which slogdet reports as sign
+        # 0 from the getrf that inv runs: invert the others in one call.
+        singular = np.linalg.slogdet(matrix)[0] == 0
         inverse = np.full_like(matrix, math.nan)
-        for b, member in enumerate(matrix):
-            try:
-                inverse[b] = np.linalg.inv(member)
-            except np.linalg.LinAlgError:
-                singular.append(b)
+        inverse[~singular] = np.linalg.inv(matrix[~singular])
     norms = np.abs(matrix).sum(axis=1).max(axis=1, initial=0.0)
     condition = np.maximum(grade, norms * np.abs(inverse).sum(axis=1).max(axis=1, initial=0.0))
-    if singular:
+    if singular is not None:
         condition[singular] = math.inf
     inverse *= rows
     inverse *= columns

@@ -20,10 +20,10 @@ update and the gap.  Every step is checked, but with its block, as array
 code over a leading step axis: the residuals of the step equations, the
 condition against SINGULAR_CONDITION, and x > 0 and z > 0 after the step.
 A block of a batch of B members with n coordinates holds 4096 // (B n)
-steps, at least one and exactly one under strict monitors, so that no
-(steps, B, n) array of it exceeds 4096 elements.  A member whose step
-fails a check is rewound to the iterate before that step and ends there
-as numerical_failure, as if it had been stopped at that step.
+steps, and at least one, so that no (steps, B, n) array of it exceeds
+4096 elements.  A member ends as numerical_failure on the iterate before
+its first step that fails a check, or under strict monitors after its
+first step that breaches a monitor, as if it had been stopped there.
 """
 
 from __future__ import annotations
@@ -355,13 +355,13 @@ def solve_many(
     (at most SINGULAR_CONDITION) and x > 0 and z > 0 after it.  Then the
     scaled directions, the feasibility residuals, the monitor terms and
     norms, and the grading.  That happens when the block is full, when a
-    member leaves and when the batch ends, and after every step under
-    strict_monitors, so that a breach stops the run at its own step.  A
-    member whose step t of the block fails a check ends as
-    numerical_failure on the iterate before step t, with step t's barrier
-    value as mu_final, the gap before it, and the iterations, trace rows
-    and violations of the steps before it; what it computed after step t
-    is dropped, and no other member's arithmetic depends on it.
+    member leaves and when the batch ends.  A member whose step t of the
+    block fails a check ends as numerical_failure on the iterate before
+    step t, and under strict_monitors one whose step t breaches a monitor
+    ends so on the iterate after it.  Its mu_final is step t's barrier
+    value, and its gap, iterations, trace rows and violations are those
+    up to the iterate it ends on; what it computed after that is dropped,
+    and no other member's arithmetic depends on it.
     With on_block, each member's part of a graded block goes to
     on_block(index, block), index being the member's place in `problems`
     and block a Trace of its next iterations, and the results' traces
@@ -433,31 +433,28 @@ def solve_many(
 
     def flush():
         # Check, evaluate and grade the block, pass each member its part up
-        # to its first step that failed a check, end that member on the
-        # iterate before the step, and return each member's count of false
-        # flags.  Matrix-vector products broadcast A over the step axis,
-        # which keeps each product a gemv with the bits of the one-step form.
+        # to the step at which it stops, and end it there.  Matrix-vector
+        # products broadcast A over the step axis, which keeps each product
+        # a gemv with the bits of the one-step form.
         nonlocal rows, settle, y
         if not rows:
-            return []
+            return
         written = block[:rows]
-        xt, zt = xs[:, :rows], zs[:, :rows]  # before and after each step
+        # Each step's x and z before and after it, from the iterate history.
+        xt, zt = (np.stack((h[:rows], h[1 : rows + 1])) for h in (xs, zs))
         dx, dy, dz = dxs[:rows], dys[:rows], dzs[:rows]
         # ys[t] is y before step t of the block and ys[t + 1] after it,
         # summed in step order, so each has the bits of y + dy step by step.
         ys = np.add.accumulate(np.concatenate([y[np.newaxis], dy]))
-        np.add(xt[0], dx, out=xt[1])
-        np.add(zt[0], dz, out=zt[1])
         mu = written["mu"][..., np.newaxis]
         w = _scaling(xt, zt, mu)
         p = _p(w, r)
         a_dx, residual = _verify(xt[0], zt[0], mu * w[0] * p[0], dx, dy, dz, h_dxs[:rows], A)
         # A step passes when its residual and condition are within their
         # limits and its new iterate is interior; each comparison rejects
-        # NaN.  A member keeps its rows up to its first step that fails.
+        # NaN.
         passed = (residual <= RESIDUAL_LIMIT) & (written["condition"] <= SINGULAR_CONDITION)
         passed &= (xt[1].min(axis=-1) > 0.0) & (zt[1].min(axis=-1) > 0.0)
-        valid = np.logical_and.accumulate(passed, axis=0)
         (written["gamma_before"], written["gamma"], written["min_w"],
          written["eq115_slack"]) = _monitor_terms(w, p, p[0])
         dx_s, dz_s, qw, written["dxTdz"] = _directions(w[0], xt[0], zt[0], dx, dz)
@@ -480,6 +477,13 @@ def solve_many(
             written[name] = flag
         written["iteration"] = np.arange(steps - rows + 1, steps + 1)[:, np.newaxis]
         y = ys[rows]
+        # A member runs through the steps that pass and, under strict
+        # monitors, breach nothing.  It keeps the rows before the first other
+        # step, and that step's row too if it passed: a breach ends after it.
+        go = passed & flags.all(axis=0) if cfg.strict_monitors else passed
+        ran = np.logical_and.accumulate(go, axis=0)
+        valid = passed.copy()
+        valid[1:] &= ran[:-1]
         failed = np.count_nonzero(~flags & valid, axis=(0, 1)).tolist()
         kept = np.count_nonzero(valid, axis=0).tolist()
         with np.errstate(**caller):
@@ -487,14 +491,14 @@ def solve_many(
                 violations[i] += failed[k]
                 if kept[k]:
                     on_block(i, Trace(written[: kept[k], k]))
-        for k, t in enumerate(kept):
-            if t < rows:  # step t failed
-                x[k], y[k], z[k] = xs[0, t, k], ys[t, k], zs[0, t, k]
+        for k, t in enumerate(np.count_nonzero(ran, axis=0).tolist()):
+            if t < rows:  # member k stopped at step t and ends on iterate kept[k]
+                e = kept[k]
+                x[k], y[k], z[k] = xs[e, k], ys[e, k], zs[e, k]
                 gap[k] = _dot(x[k], z[k])
-                finish(k, "numerical_failure", written["mu"][t, k], steps - rows + t)
+                finish(k, "numerical_failure", written["mu"][t, k], steps - rows + e)
                 settle = True
         rows = 0
-        return failed
 
     def finish(k, status, mu_k, iterations):
         vectors = x[k].copy(), y[k].copy(), z[k].copy()
@@ -535,10 +539,10 @@ def solve_many(
                         a[keep] for a in (mu, gap, limit, x, y, z, A, b, c, Q, *space)
                     )
                 settle, stop = False, limit.min()
-                depth = 1 if cfg.strict_monitors else max(1, _CHUNK // x.size)
-                # Each step's x and z before and after it, and its dx, dz,
-                # H dx and dy.
-                xs, zs = np.empty((2, 2, depth, *x.shape))
+                depth = max(1, _CHUNK // x.size)
+                # Row t of xs and zs is x and z before step t of a block and
+                # row t + 1 after it; and each step's dx, dz, H dx and dy.
+                xs, zs = np.empty((2, depth + 1, *x.shape))
                 dxs, dzs, h_dxs = np.empty((3, depth, *x.shape))
                 dys = np.empty((depth, *y.shape))
             # A step computes only what the next one needs; its block checks it.
@@ -549,22 +553,18 @@ def solve_many(
             dx, dy, dz, h_dx = _newton_step(*space[:2], x, z, column * w * _p(w, r), inverse)
             if not rows:  # a graded block belongs to its Trace parts
                 block = np.empty((depth, len(ids)), _TRACE_ROW)
-            stored = (x, z, dx, dz, h_dx, dy)
-            for stack, value in zip((xs[0], zs[0], dxs, dzs, h_dxs, dys), stored):
+                xs[0], zs[0] = x, z
+            for stack, value in zip((dxs, dzs, h_dxs, dys), (dx, dz, h_dx, dy)):
                 stack[rows] = value
             mu, steps = shrunk, steps + 1
-            x, z = x + dx, z + dz
+            x, z = np.add(x, dx, out=xs[rows + 1]), np.add(z, dz, out=zs[rows + 1])
             gap = _dot(x, z)
             step = block[rows]
             step["mu"], step["gap"], step["condition"] = mu, gap, conditions
             rows += 1
             settle = steps >= stop or not gap.min() > cfg.epsilon
             if rows == depth:
-                failed = flush()
-                if cfg.strict_monitors:
-                    for k in np.flatnonzero(failed):
-                        finish(k, "numerical_failure", mu[k], steps)
-                        settle = True
+                flush()
 
 
 # The row fields in TRACE_HEADER order ("iter" is iteration, and a flag is

@@ -192,7 +192,7 @@ class TestFactorization:
 
     def test_an_exactly_singular_member_leaves_the_others_bit_identical(self):
         # With H = 0 and z = 0, G is exactly zero, so the stacked inverse
-        # fails and the members are inverted one by one.  The singular one
+        # fails and the others are inverted in one call.  The singular one
         # gets an infinite condition, a NaN inverse and an infinite
         # residual; the others keep the bits of their solo `_factor` calls.
         problems = [generate_instance(8, 4, "linear", seed) for seed in (41, 42, 43)]

@@ -593,7 +593,9 @@ class TestBlocks:
         assert result.iterations == 369
         assert verified == [(369, 1, 10)]
 
-    def test_strict_monitors_grade_every_step(self, monkeypatch):
+    def test_a_strict_solve_within_its_depth_is_one_block(self, monkeypatch):
+        # Strict monitors take the same blocks as advisory ones: 20 steps
+        # at n = 4 are checked and graded together.
         calls = self.counted(monkeypatch, "_grade")
         directions = self.counted(monkeypatch, "_directions")
         terms = self.counted(monkeypatch, "_monitor_terms")
@@ -601,10 +603,10 @@ class TestBlocks:
         result = solve(generate_instance(4, 2, "linear", 7),
                        SolverConfig(epsilon=1e-6, strict_monitors=True, max_iterations=20))
         assert result.iterations == 20
-        assert calls == [(1, 1)] * 20
-        assert directions == [(1, 1, 4)] * 20
-        assert terms == [(2, 1, 1, 4)] * 20
-        assert verified == [(1, 1, 4)] * 20
+        assert calls == [(20, 1)]
+        assert directions == [(20, 1, 4)]
+        assert terms == [(2, 20, 1, 4)]
+        assert verified == [(20, 1, 4)]
 
 
 def tiny_x(p, scale=1e-10):
@@ -620,9 +622,21 @@ def tiny_x(p, scale=1e-10):
 
 class TestStepChecks:
     def trip(self, monkeypatch, gate, target, gap):
-        # Make `target` fail one check at its first step from an iterate
-        # whose gap is below `gap`: a condition on its own iterate, so solo
-        # and batched runs trip at the same step.
+        # Make `target` fail one check, or with gate "monitor" breach eq111,
+        # at its first step from an iterate whose gap is below `gap`: a
+        # condition on its own iterate, so solo and batched runs trip at
+        # the same step.
+        if gate == "monitor":
+            # Of the members below, only `target` has a gap this small.
+            directions = solver_module._directions
+
+            def breached(w, x, z, dx, dz):
+                dx_s, dz_s, qw, dxTdz = directions(w, x, z, dx, dz)
+                dxTdz[np.vecdot(x, z) < gap] -= 1.0  # dx'dz < 0
+                return dx_s, dz_s, qw, dxTdz
+
+            monkeypatch.setattr(solver_module, "_directions", breached)
+            return
         hessian = target.objective.evaluate(target.start.x0)[2]
         marker = newton._null_space(target.A[np.newaxis], hessian[np.newaxis])[0][0]
 
@@ -656,10 +670,11 @@ class TestStepChecks:
         monkeypatch.setattr(solver_module, "_newton_step", tripped)
 
     @pytest.mark.parametrize("strict", [False, True])
-    @pytest.mark.parametrize("gate", ["residual", "interior", "condition"])
+    @pytest.mark.parametrize("gate", ["residual", "interior", "condition", "monitor"])
     def test_a_member_failing_mid_block_ends_before_that_step(self, monkeypatch, gate, strict):
-        # The middle member fails one check at step 45, the 13th step of its
-        # second 32-step block (B n = 18); the others run on to their cap.
+        # The middle member fails one check, or breaches a monitor, at step
+        # 45, the 13th step of its second 32-step block (B n = 18); the
+        # others run on to their cap.
         monkeypatch.setattr(solver_module, "_CHUNK", 576)
         cfg = SolverConfig(epsilon=1e-14, max_iterations=70, strict_monitors=strict)
         target = tiny_x(generate_instance(6, 3, "linear", 62))
@@ -669,14 +684,32 @@ class TestStepChecks:
         gaps = clean[1].trace.gap
         self.trip(monkeypatch, gate, target, 0.5 * (gaps[42] + gaps[43]))
         results = solve_many(problems, cfg)
-        assert [res.status for res in results] == [
-            "iteration_cap", "numerical_failure", "iteration_cap",
-        ]
+        ends = "iteration_cap" if gate == "monitor" and not strict else "numerical_failure"
+        assert [res.status for res in results] == ["iteration_cap", ends, "iteration_cap"]
         for p, got in zip(problems, results):
             want = solve(p, cfg)
             assert_same_result(got, want)
             for name in ("condition", "step_residual"):
                 assert getattr(got.trace, name).tobytes() == getattr(want.trace, name).tobytes()
+        if gate == "monitor":
+            if not strict:  # the breach is counted at every step from 45 on
+                assert results[1].iterations == 70
+                assert results[1].monitor_violations == 26
+                return
+            # Under strict monitors it ends on the iterate after step 45,
+            # with that step's row and mu: as a run capped at 45 steps ends,
+            # but for its status and the breach.
+            assert results[1].iterations == 45
+            assert not results[1].trace.eq111_ok[44]
+            assert results[1].trace[:44] == clean[1].trace[:44]
+            for name in solver_module._TRACE_ROW.names:
+                if name not in ("dxTdz", "eq111_ok", "worst_margin"):
+                    got, want = getattr(results[1].trace, name), getattr(clean[1].trace, name)
+                    assert got.tobytes() == want.tobytes()
+            after = dataclasses.replace(clean[1], status="numerical_failure",
+                                        trace=results[1].trace, monitor_violations=1)
+            assert_same_result(results[1], after)
+            return
         # It ends on the iterate before step 45, with that step's mu: as a
         # run capped at 44 steps ends, but for its status and mu.
         assert results[1].iterations == 44
