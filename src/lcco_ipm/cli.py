@@ -180,7 +180,8 @@ def _print_summary(path: str, problem, cfg: SolverConfig, result: SolveResult) -
         f"gap: {result.gap_final:.12g} absolute{relative}; "
         f"final mu {result.mu_final:.12g}"
     )
-    objective_value = problem.objective.evaluate(result.x)[0]
+    with np.errstate(over="ignore"):  # f at an extreme start may overflow too
+        objective_value = problem.objective.evaluate(result.x)[0]
     print(f"objective: {objective_value:.17g}")
     print(
         f"max gamma: {_max_gamma(result):.12g}; "

@@ -21,9 +21,13 @@ code over a leading step axis: the residuals of the step equations, the
 condition against SINGULAR_CONDITION, and x > 0 and z > 0 after the step.
 A block of a batch of B members with n coordinates holds 4096 // (B n)
 steps, and at least one, so that no (steps, B, n) array of it exceeds
-4096 elements.  A member ends as numerical_failure on the iterate before
-its first step that fails a check, or under strict monitors after its
-first step that breaches a monitor, as if it had been stopped there.
+4096 elements.  Each pass of the loop checks the last block, ends every
+member that stopped, and runs the next block until a member reaches its
+target or its cap.  That is the one place where a member ends: as
+invalid_start on the first pass, before any step; as numerical_failure on
+the iterate before its first step that fails a check, or under strict
+monitors after its first step that breaches a monitor, as if it had been
+stopped there; or else as converged or iteration_cap.
 """
 
 from __future__ import annotations
@@ -317,8 +321,8 @@ class SolveResult:
 
 # Most elements of one (steps, B, n) array of a block: a block holds
 # _CHUNK // (B n) steps, and at least one, before it is checked and graded.
-# A flush holds some twenty such arrays, so this bounds its memory near
-# 0.7 MB whatever B n is.
+# Checking and grading a block holds some twenty such arrays, so this bounds
+# its memory near 0.7 MB whatever B n is.
 _CHUNK = 4096
 
 
@@ -354,14 +358,15 @@ def solve_many(
     residuals (`step_residual`, at most RESIDUAL_LIMIT), its condition
     (at most SINGULAR_CONDITION) and x > 0 and z > 0 after it.  Then the
     scaled directions, the feasibility residuals, the monitor terms and
-    norms, and the grading.  That happens when the block is full, when a
-    member leaves and when the batch ends.  A member whose step t of the
-    block fails a check ends as numerical_failure on the iterate before
-    step t, and under strict_monitors one whose step t breaches a monitor
-    ends so on the iterate after it.  Its mu_final is step t's barrier
-    value, and its gap, iterations, trace rows and violations are those
-    up to the iterate it ends on; what it computed after that is dropped,
-    and no other member's arithmetic depends on it.
+    norms, and the grading.  Each pass of the loop does that for the last
+    block, ends every member that stopped, and runs the next block.  A
+    member whose step t of the block fails a check ends as
+    numerical_failure on the iterate before step t, and under
+    strict_monitors one whose step t breaches a monitor ends so on the
+    iterate after it.  Its mu_final is step t's barrier value, and its
+    gap, iterations, trace rows and violations are those up to the
+    iterate it ends on; what it computed after that is dropped, and no
+    other member's arithmetic depends on it.
     With on_block, each member's part of a graded block goes to
     on_block(index, block), index being the member's place in `problems`
     and block a Trace of its next iterations, and the results' traces
@@ -375,51 +380,37 @@ def solve_many(
         raise ValueError("solve_many needs problems of one shape (n, m)")
     if any(p.start is None for p in problems):
         raise ValueError("problem carries no start point")
-    if problems and problems[0].n < 2:
+    if not problems:
+        return []
+    if problems[0].n < 2:
         raise ValueError(f"solver requires n >= 2, got {problems[0].n}")
     results: list = [None] * len(problems)
     reports = [validate_start(p, p.start, cfg.r) for p in problems]
     bounds = []
-    for i, (p, report) in enumerate(zip(problems, reports)):
-        start = p.start
+    for p, report in zip(problems, reports):
         mu0 = report.gap0 / p.n
         positive = math.isfinite(mu0) and mu0 > 0.0
         bounds.append(iteration_bound(mu0, p.n, cfg.r, cfg.epsilon) if positive else 0)
-        if not report.admissible:
-            results[i] = SolveResult(
-                status="invalid_start",
-                x=start.x0,
-                y=start.y0,
-                z=start.z0,
-                mu_final=mu0,
-                gap_final=report.gap0,
-                iterations=0,
-                bound=bounds[i],
-                trace=Trace.concat(()),
-                monitor_violations=0,
-            )
-    ids = [i for i, result in enumerate(results) if result is None]
-    if not ids:
-        return results
 
     # Starts were checked above and each new iterate is checked once below,
-    # so the loop runs the unchecked kernels on (B, .) stacks.  A member that
-    # fails inside a step leaves, and the rest retake that step without it.
+    # so the loop runs the unchecked kernels on (B, .) stacks.  Members with
+    # an inadmissible start are stacked too, and end before any step.
+    ids = list(range(len(problems)))
     n, r = problems[0].n, cfg.r
     shrink = 1.0 - cfg.resolved_theta(n)
-    starts = [problems[i].start for i in ids]
-    x, y, z = (np.array([getattr(s, key) for s in starts]) for key in ("x0", "y0", "z0"))
-    A, b = (np.array([getattr(problems[i], key) for i in ids]) for key in ("A", "b"))
-    gap = np.array([reports[i].gap0 for i in ids])
+    x, y, z = (np.array([getattr(p.start, key) for p in problems]) for key in ("x0", "y0", "z0"))
+    A, b = (np.array([getattr(p, key) for p in problems]) for key in ("A", "b"))
+    gap = np.array([report.gap0 for report in reports])
     mu = gap / n
-    limit = np.array([cfg.resolved_max_iterations(bounds[i]) for i in ids])
-    hessian = np.array([problems[i].objective.evaluate(x[k])[2] for k, i in enumerate(ids)])
+    limit = np.array([cfg.resolved_max_iterations(bound) for bound in bounds])
+    with np.errstate(all="ignore"):  # f at an inadmissible start may overflow
+        hessian = np.array([p.objective.evaluate(x[k])[2] for k, p in enumerate(problems)])
     space = _null_space(A, hessian)  # the Hessian of f is constant
     # The gradient is c + Q x, as ObjectiveSpec.evaluate has it, with Q = 0
     # for a linear objective.
-    c = np.array([problems[i].objective.c for i in ids])
+    c = np.array([p.objective.c for p in problems])
     Q = hessian
-    Q[[problems[i].objective.kind == "linear" for i in ids]] = 0.0
+    Q[[p.objective.kind == "linear" for p in problems]] = 0.0
     parts = [[] for _ in problems]
     if on_block is None:
 
@@ -428,143 +419,143 @@ def solve_many(
 
     violations = [0] * len(problems)
     steps = 0  # members step in lockstep, so every active one has taken `steps`
-    rows = 0  # steps written to the block and not yet checked and graded
+    rows = 0  # steps of the last block, none before the first
+    through = [0] * len(problems)  # the steps of that block each member ran through
     caller = np.geterr()  # on_block runs under the caller's error state
-
-    def flush():
-        # Check, evaluate and grade the block, pass each member its part up
-        # to the step at which it stops, and end it there.  Matrix-vector
-        # products broadcast A over the step axis, which keeps each product
-        # a gemv with the bits of the one-step form.
-        nonlocal rows, settle, y
-        if not rows:
-            return
-        written = block[:rows]
-        # Each step's x and z before and after it, from the iterate history.
-        xt, zt = (np.stack((h[:rows], h[1 : rows + 1])) for h in (xs, zs))
-        dx, dy, dz = dxs[:rows], dys[:rows], dzs[:rows]
-        # ys[t] is y before step t of the block and ys[t + 1] after it,
-        # summed in step order, so each has the bits of y + dy step by step.
-        ys = np.add.accumulate(np.concatenate([y[np.newaxis], dy]))
-        mu = written["mu"][..., np.newaxis]
-        w = _scaling(xt, zt, mu)
-        p = _p(w, r)
-        a_dx, residual = _verify(xt[0], zt[0], mu * w[0] * p[0], dx, dy, dz, h_dxs[:rows], A)
-        # A step passes when its residual and condition are within their
-        # limits and its new iterate is interior; each comparison rejects
-        # NaN.
-        passed = (residual <= RESIDUAL_LIMIT) & (written["condition"] <= SINGULAR_CONDITION)
-        passed &= (xt[1].min(axis=-1) > 0.0) & (zt[1].min(axis=-1) > 0.0)
-        (written["gamma_before"], written["gamma"], written["min_w"],
-         written["eq115_slack"]) = _monitor_terms(w, p, p[0])
-        dx_s, dz_s, qw, written["dxTdz"] = _directions(w[0], xt[0], zt[0], dx, dz)
-        gradient = c + np.matmul(Q, xt[1, ..., np.newaxis])[..., 0]
-        dual = np.matmul(A.transpose(0, 2, 1), ys[1:, ..., np.newaxis])[..., 0] + zt[1] - gradient
-        written["norm_pw"] = _norm(p[0])
-        written["norm_qw"] = _norm(qw)
-        written["dual_res"] = _norm(dual)
-        written["grad_norm"] = _norm(gradient)
-        written["kernel_defect"] = _norm(dx_s + dz_s - p[0])
-        written["primal_res"] = _norm(np.matmul(A, xt[1, ..., np.newaxis])[..., 0] - b)
-        written["scaled_primal"] = a_dx / written["mu"]
-        written["step_residual"] = residual
-        graded = ("gamma_before", "gamma", "min_w", "eq115_slack", "norm_pw", "norm_qw",
-                  "dxTdz", "gap", "mu")
-        flags, written["contraction_bound"], written["gap_bound"], written["worst_margin"] = (
-            _grade(*(written[name] for name in graded), n, r)
-        )
-        for name, flag in zip(_FLAGS, flags):
-            written[name] = flag
-        written["iteration"] = np.arange(steps - rows + 1, steps + 1)[:, np.newaxis]
-        y = ys[rows]
-        # A member runs through the steps that pass and, under strict
-        # monitors, breach nothing.  It keeps the rows before the first other
-        # step, and that step's row too if it passed: a breach ends after it.
-        go = passed & flags.all(axis=0) if cfg.strict_monitors else passed
-        ran = np.logical_and.accumulate(go, axis=0)
-        valid = passed.copy()
-        valid[1:] &= ran[:-1]
-        failed = np.count_nonzero(~flags & valid, axis=(0, 1)).tolist()
-        kept = np.count_nonzero(valid, axis=0).tolist()
-        with np.errstate(**caller):
-            for k, i in enumerate(ids):
-                violations[i] += failed[k]
-                if kept[k]:
-                    on_block(i, Trace(written[: kept[k], k]))
-        for k, t in enumerate(np.count_nonzero(ran, axis=0).tolist()):
-            if t < rows:  # member k stopped at step t and ends on iterate kept[k]
-                e = kept[k]
-                x[k], y[k], z[k] = xs[e, k], ys[e, k], zs[e, k]
-                gap[k] = _dot(x[k], z[k])
-                finish(k, "numerical_failure", written["mu"][t, k], steps - rows + e)
-                settle = True
-        rows = 0
-
-    def finish(k, status, mu_k, iterations):
-        vectors = x[k].copy(), y[k].copy(), z[k].copy()
-        for arr in vectors:
-            arr.setflags(write=False)
-        i = ids[k]
-        results[i] = SolveResult(
-            status=status,
-            x=vectors[0],
-            y=vectors[1],
-            z=vectors[2],
-            mu_final=float(mu_k),
-            gap_final=float(gap[k]),
-            iterations=iterations,
-            bound=bounds[i],
-            trace=Trace.concat(parts[i]),
-            monitor_violations=violations[i],
-        )
-
-    settle = True  # some member may have stopped
-    # A member whose step failed a check runs on, perhaps on NaN or inf,
-    # until its block is checked; until then its arithmetic raises no
-    # warning.  Each member's arithmetic is its own, so it disturbs no other.
+    # One pass of the loop per block.  A member whose step failed a check
+    # runs on, perhaps on NaN or inf, until its block is checked; until then
+    # its arithmetic raises no warning.  Each member's arithmetic is its own,
+    # so it disturbs no other.
     with np.errstate(all="ignore"):
         while True:
-            if settle:
-                flush()
-                for k in np.flatnonzero(~((gap > cfg.epsilon) & (steps < limit))):
-                    if results[ids[k]] is None:
-                        status = "converged" if not gap[k] > cfg.epsilon else "iteration_cap"
-                        finish(k, status, mu[k], steps)
-                keep = np.array([results[i] is None for i in ids])
-                if not keep.all():
-                    ids = [i for i, kept in zip(ids, keep) if kept]
-                    if not ids:
-                        return results
-                    mu, gap, limit, x, y, z, A, b, c, Q, *space = (
-                        a[keep] for a in (mu, gap, limit, x, y, z, A, b, c, Q, *space)
-                    )
-                settle, stop = False, limit.min()
-                depth = max(1, _CHUNK // x.size)
-                # Row t of xs and zs is x and z before step t of a block and
-                # row t + 1 after it; and each step's dx, dz, H dx and dy.
-                xs, zs = np.empty((2, depth + 1, *x.shape))
-                dxs, dzs, h_dxs = np.empty((3, depth, *x.shape))
-                dys = np.empty((depth, *y.shape))
-            # A step computes only what the next one needs; its block checks it.
-            shrunk = mu * shrink
-            column = shrunk[:, np.newaxis]
-            w = _scaling(x, z, column)
-            inverse, conditions = _factor(*space, x, z)
-            dx, dy, dz, h_dx = _newton_step(*space[:2], x, z, column * w * _p(w, r), inverse)
-            if not rows:  # a graded block belongs to its Trace parts
-                block = np.empty((depth, len(ids)), _TRACE_ROW)
-                xs[0], zs[0] = x, z
-            for stack, value in zip((dxs, dzs, h_dxs, dys), (dx, dz, h_dx, dy)):
-                stack[rows] = value
-            mu, steps = shrunk, steps + 1
-            x, z = np.add(x, dx, out=xs[rows + 1]), np.add(z, dz, out=zs[rows + 1])
-            gap = _dot(x, z)
-            step = block[rows]
-            step["mu"], step["gap"], step["condition"] = mu, gap, conditions
-            rows += 1
-            settle = steps >= stop or not gap.min() > cfg.epsilon
-            if rows == depth:
-                flush()
+            if rows:
+                # Check, evaluate and grade the block, and pass each member
+                # its part up to the step at which it stops.  Matrix-vector
+                # products broadcast A over the step axis, which keeps each
+                # product a gemv with the bits of the one-step form.
+                written = block[:rows]
+                # Each step's x and z before and after it, from the iterate history.
+                xt, zt = (np.stack((h[:rows], h[1 : rows + 1])) for h in (xs, zs))
+                dx, dy, dz, h_dx = dxs[:rows], dys[:rows], dzs[:rows], h_dxs[:rows]
+                # ys[t] is y before step t of the block and ys[t + 1] after it,
+                # summed in step order, so each has the bits of y + dy step by step.
+                ys = np.add.accumulate(np.concatenate([y[np.newaxis], dy]))
+                mu_t = written["mu"][..., np.newaxis]
+                w = _scaling(xt, zt, mu_t)
+                p = _p(w, r)
+                a_dx, residual = _verify(xt[0], zt[0], mu_t * w[0] * p[0], dx, dy, dz, h_dx, A)
+                # A step passes when its residual and condition are within their
+                # limits and its new iterate is interior; each comparison rejects
+                # NaN.
+                passed = residual <= RESIDUAL_LIMIT
+                passed &= written["condition"] <= SINGULAR_CONDITION
+                passed &= (xt[1].min(axis=-1) > 0.0) & (zt[1].min(axis=-1) > 0.0)
+                (written["gamma_before"], written["gamma"], written["min_w"],
+                 written["eq115_slack"]) = _monitor_terms(w, p, p[0])
+                dx_s, dz_s, qw, written["dxTdz"] = _directions(w[0], xt[0], zt[0], dx, dz)
+                gradient = c + np.matmul(Q, xt[1, ..., np.newaxis])[..., 0]
+                a_y = np.matmul(A.transpose(0, 2, 1), ys[1:, ..., np.newaxis])[..., 0]
+                dual = a_y + zt[1] - gradient
+                written["norm_pw"] = _norm(p[0])
+                written["norm_qw"] = _norm(qw)
+                written["dual_res"] = _norm(dual)
+                written["grad_norm"] = _norm(gradient)
+                written["kernel_defect"] = _norm(dx_s + dz_s - p[0])
+                written["primal_res"] = _norm(np.matmul(A, xt[1, ..., np.newaxis])[..., 0] - b)
+                written["scaled_primal"] = a_dx / written["mu"]
+                written["step_residual"] = residual
+                # Held through the next block's steps, these would add to the
+                # peak memory that _CHUNK bounds.
+                del xt, zt, w, p, dx_s, dz_s, qw, gradient, a_y, dual
+                graded = ("gamma_before", "gamma", "min_w", "eq115_slack", "norm_pw", "norm_qw",
+                          "dxTdz", "gap", "mu")
+                (flags, written["contraction_bound"], written["gap_bound"],
+                 written["worst_margin"]) = _grade(*(written[name] for name in graded), n, r)
+                for name, flag in zip(_FLAGS, flags):
+                    written[name] = flag
+                written["iteration"] = np.arange(steps - rows + 1, steps + 1)[:, np.newaxis]
+                y = ys[rows]
+                # A member runs through the steps that pass and, under strict
+                # monitors, breach nothing.  It keeps the rows before the first other
+                # step, and that step's row too if it passed: a breach ends after it.
+                go = passed & flags.all(axis=0) if cfg.strict_monitors else passed
+                ran = np.logical_and.accumulate(go, axis=0)
+                valid = passed.copy()
+                valid[1:] &= ran[:-1]
+                failed = np.count_nonzero(~flags & valid, axis=(0, 1)).tolist()
+                kept = np.count_nonzero(valid, axis=0).tolist()
+                through = np.count_nonzero(ran, axis=0).tolist()
+                with np.errstate(**caller):
+                    for k, i in enumerate(ids):
+                        violations[i] += failed[k]
+                        if kept[k]:
+                            on_block(i, Trace(written[: kept[k], k]))
+            # The one place where a member ends, as the module docstring lists.
+            for k, i in enumerate(ids):
+                mu_k, iterations = mu[k], steps
+                if not reports[i].admissible:  # on the first pass, before any step
+                    status = "invalid_start"
+                elif through[k] < rows:  # member k stopped at step t and ends on iterate e
+                    t, e = through[k], kept[k]
+                    x[k], y[k], z[k] = xs[e, k], ys[e, k], zs[e, k]
+                    gap[k] = _dot(x[k], z[k])
+                    status = "numerical_failure"
+                    mu_k, iterations = written["mu"][t, k], steps - rows + e
+                elif not gap[k] > cfg.epsilon:
+                    status = "converged"
+                elif steps >= limit[k]:
+                    status = "iteration_cap"
+                else:
+                    continue
+                vectors = x[k].copy(), y[k].copy(), z[k].copy()
+                for arr in vectors:
+                    arr.setflags(write=False)
+                results[i] = SolveResult(
+                    status=status,
+                    x=vectors[0],
+                    y=vectors[1],
+                    z=vectors[2],
+                    mu_final=float(mu_k),
+                    gap_final=float(gap[k]),
+                    iterations=iterations,
+                    bound=bounds[i],
+                    trace=Trace.concat(parts[i]),
+                    monitor_violations=violations[i],
+                )
+            keep = np.array([results[i] is None for i in ids])
+            if not keep.all():
+                ids = [i for i, kept in zip(ids, keep) if kept]
+                if not ids:
+                    return results
+                mu, gap, limit, x, y, z, A, b, c, Q, *space = (
+                    a[keep] for a in (mu, gap, limit, x, y, z, A, b, c, Q, *space)
+                )
+            stop = limit.min()
+            depth = max(1, _CHUNK // x.size)
+            # Row t of xs and zs is x and z before step t of the block and
+            # row t + 1 after it; and each step's dx, dz, H dx and dy.  The
+            # block's trace rows belong to its Trace parts once graded.
+            xs, zs = np.empty((2, depth + 1, *x.shape))
+            dxs, dzs, h_dxs = np.empty((3, depth, *x.shape))
+            dys = np.empty((depth, *y.shape))
+            block = np.empty((depth, len(ids)), _TRACE_ROW)
+            xs[0], zs[0] = x, z
+            for rows in range(1, depth + 1):
+                # A step computes only what the next one needs; its block checks it.
+                shrunk = mu * shrink
+                column = shrunk[:, np.newaxis]
+                w = _scaling(x, z, column)
+                inverse, conditions = _factor(*space, x, z)
+                dx, dy, dz, h_dx = _newton_step(*space[:2], x, z, column * w * _p(w, r), inverse)
+                for stack, value in zip((dxs, dzs, h_dxs, dys), (dx, dz, h_dx, dy)):
+                    stack[rows - 1] = value
+                mu, steps = shrunk, steps + 1
+                x, z = np.add(x, dx, out=xs[rows]), np.add(z, dz, out=zs[rows])
+                gap = _dot(x, z)
+                step = block[rows - 1]
+                step["mu"], step["gap"], step["condition"] = mu, gap, conditions
+                if steps >= stop or not gap.min() > cfg.epsilon:
+                    break
 
 
 # The row fields in TRACE_HEADER order ("iter" is iteration, and a flag is

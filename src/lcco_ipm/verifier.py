@@ -88,14 +88,16 @@ def kkt_residuals(p: Problem, x, y, z) -> KktResiduals:
     z = np.asarray(z, dtype=float)
     if x.shape != (p.n,) or y.shape != (p.m,) or z.shape != (p.n,):
         raise ValueError("candidate dimensions do not match the problem")
-    gradient = p.objective.evaluate(x)[1]
-    return KktResiduals(
-        primal=float(np.linalg.norm(p.A @ x - p.b)),
-        dual=float(np.linalg.norm(p.A.T @ y + z - gradient)),
-        complementarity=float(x @ z),
-        min_x=float(x.min()),
-        min_z=float(z.min()),
-    )
+    # An extreme triple may overflow these products and norms: reported, not warned.
+    with np.errstate(over="ignore"):
+        gradient = p.objective.evaluate(x)[1]
+        return KktResiduals(
+            primal=float(np.linalg.norm(p.A @ x - p.b)),
+            dual=float(np.linalg.norm(p.A.T @ y + z - gradient)),
+            complementarity=float(x @ z),
+            min_x=float(x.min()),
+            min_z=float(z.min()),
+        )
 
 
 @dataclass(frozen=True, eq=False)

@@ -158,7 +158,9 @@ class TestExitCodes:
          # mu0 = 3/4, but x0_1 z0_1 / mu0 underflows to w_1 = 0
          {"x 1 1 1 1": "x 1e-200 1 1 1", "z 1 1 1 1": "z 1e-200 1 1 1"}],
     )
-    @pytest.mark.parametrize("command", [["solve"], ["sweep", "--r-max", "2"]])
+    @pytest.mark.parametrize(
+        "command", [["solve"], ["sweep", "--r-max", "2"], ["solve", "--check"]]
+    )
     def test_start_without_a_finite_barrier_value_exits_two(
         self, instance_path, tmp_path, capsys, start, command
     ):
@@ -180,6 +182,22 @@ class TestExitCodes:
             assert captured.err == ""
         else:
             assert (tmp_path / "sweep.csv").read_text().count("invalid_start") == 2
+
+    def test_extreme_quadratic_start_checks_without_a_warning(self, tmp_path, capsys):
+        # f at x0 = 1e200 e overflows, in the summary and in the KKT residuals.
+        path = tmp_path / "extreme.lcco"
+        generate = ["generate", "--n", "4", "--m", "2", "--objective", "quadratic"]
+        assert main([*generate, "--seed", "1", "--out", str(path)]) == 0
+        text = path.read_text()
+        assert "x 1 1 1 1" in text
+        path.write_text(text.replace("x 1 1 1 1", "x" + " 1e200" * 4))
+        capsys.readouterr()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["solve", str(path), "--check"]) == 2
+        captured = capsys.readouterr()
+        assert "status: invalid_start" in captured.out
+        assert captured.err == ""
 
     def test_iteration_cap_exits_four(self, instance_path, capsys):
         assert main(["solve", str(instance_path), "--max-iter", "1"]) == 4

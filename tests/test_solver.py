@@ -334,6 +334,17 @@ class TestSolveMany:
             A=base.A, b=base.b, objective=base.objective,
             start=StartPoint(x0=base.start.x0, y0=base.start.y0, z0=z0),
         )
+        # b, c and the start scaled by 1e-4: still exactly centred, with gap
+        # 6e-8, so it has converged before its first step, within a bound of 0.
+        small = Problem(
+            A=base.A, b=1e-4 * base.b, objective=ObjectiveSpec.linear(1e-4 * base.objective.c),
+            start=StartPoint(*(1e-4 * v for v in (base.start.x0, base.start.y0, base.start.z0))),
+        )
+        # One entry of A is inf, so the start's primal residual is inf; the
+        # setup still stacks it and takes the null space of its A.
+        infinite = np.array(base.A)
+        infinite[1, 4] = math.inf
+        infinite_a = Problem(A=infinite, b=base.b, objective=base.objective, start=base.start)
         failing = generate_instance(6, 3, "quadratic", 24)
         half_gap = 0.5 * float(failing.start.x0 @ failing.start.z0)
         # [N; HN] of `failing`, by which the step function knows that member.
@@ -352,15 +363,18 @@ class TestSolveMany:
             return dx, dy, dz, h_dx
 
         monkeypatch.setattr(solver_module, "_newton_step", poisoned)
-        problems = [centered, off_center, inadmissible, failing]
+        problems = [centered, off_center, inadmissible, small, infinite_a, failing]
         cfg = SolverConfig(epsilon=1e-6, r=1)
         results = solve_many(problems, cfg)
         solo = [solve(p, cfg) for p in problems]
         assert [res.status for res in results] == [
-            "converged", "converged", "invalid_start", "numerical_failure",
+            "converged", "converged", "invalid_start", "converged", "invalid_start",
+            "numerical_failure",
         ]
+        assert (results[3].iterations, results[3].bound) == (0, 0)
+        assert results[3].gap_final == pytest.approx(6e-8)
         assert results[0].iterations != results[1].iterations
-        assert 0 < results[3].iterations < results[0].iterations
+        assert 0 < results[5].iterations < results[0].iterations
         for got, want in zip(results, solo):
             assert_same_result(got, want)
 
@@ -414,7 +428,7 @@ class TestSolveMany:
             assert Trace.concat(blocks) == want.trace
             assert_same_result(got, dataclasses.replace(want, trace=()))
         assert results[0].iterations != results[1].iterations
-        # Members step in lockstep, so the blocks of one flush arrive in
+        # Members step in lockstep, so the parts of one block arrive in
         # member order and each starts where the member's last one ended.
         starts = [block.iteration[0] for _, block in received]
         assert starts == sorted(starts)
