@@ -142,7 +142,9 @@ class ObjectiveSpec:
 
         Evaluation is defined for any finite x of matching length,
         including points outside the nonnegative orthant; feasibility is
-        the caller's concern.
+        the caller's concern.  Where the plain sum overflows, f is rescaled
+        by max|x|, so an f that overflows reads +inf or -inf by the sign of
+        its true value, never nan.
         """
         x = np.asarray(x, dtype=float)
         if x.shape != self.c.shape:
@@ -150,10 +152,19 @@ class ObjectiveSpec:
                 f"x has length {x.shape}, objective expects {self.c.shape}"
             )
         if self.kind == "linear":
-            return float(self.c @ x), self.c, self._hessian
-        qx = self.Q @ x
-        value = float(self.c @ x) + 0.5 * float(x @ qx)
-        return value, self.c + qx, self._hessian
+            value, gradient = float(self.c @ x), self.c
+        else:
+            qx = self.Q @ x
+            value, gradient = float(self.c @ x) + 0.5 * float(x @ qx), self.c + qx
+        if not math.isfinite(value) and np.all(np.isfinite(x)):
+            # f(x) = s (c'u + s u'Qu / 2) at u = x / s, s = max|x|: no product
+            # overflows before the last two, so f gets the sign of its true
+            # value.  Q is PSD, so u'Qu >= 0 up to rounding.
+            scale = float(np.abs(x).max())
+            u = x / scale
+            curvature = 0.0 if self.Q is None else max(0.0, float(u @ (self.Q @ u)))
+            value = scale * (float(self.c @ u) + 0.5 * scale * curvature)
+        return value, gradient, self._hessian
 
 
 @dataclass(frozen=True, eq=False)
@@ -258,6 +269,20 @@ class FeasibilityReport:
     admissible: bool
 
 
+def _reported_norm(v: np.ndarray) -> float:
+    """||v|| as np.linalg.norm gives it, unless that overflows at a finite v.
+
+    norm squares the entries, so it reads inf above about 1.3e154; then v
+    is rescaled by its largest entry first.  For reports and grades only:
+    the solver's loop keeps centralpath._norm.
+    """
+    norm = float(np.linalg.norm(v))
+    if norm == math.inf and np.all(np.isfinite(v)):
+        scale = float(np.abs(v).max())
+        norm = scale * float(np.linalg.norm(v / scale))
+    return norm
+
+
 def validate_start(p: Problem, s: StartPoint, r: int) -> FeasibilityReport:
     """Grade a candidate start against the solver's admission conditions.
 
@@ -273,11 +298,11 @@ def validate_start(p: Problem, s: StartPoint, r: int) -> FeasibilityReport:
     # An extreme start may overflow these products and norms: graded, not warned.
     with np.errstate(over="ignore"):
         gradient = p.objective.evaluate(s.x0)[1]
-        primal_residual = float(np.linalg.norm(p.A @ s.x0 - p.b))
-        dual_residual = float(np.linalg.norm(p.A.T @ s.y0 + s.z0 - gradient))
+        primal_residual = _reported_norm(p.A @ s.x0 - p.b)
+        dual_residual = _reported_norm(p.A.T @ s.y0 + s.z0 - gradient)
         feasible = (
-            primal_residual <= _START_RTOL * (1.0 + float(np.linalg.norm(p.b)))
-            and dual_residual <= _START_RTOL * (1.0 + float(np.linalg.norm(gradient)))
+            primal_residual <= _START_RTOL * (1.0 + _reported_norm(p.b))
+            and dual_residual <= _START_RTOL * (1.0 + _reported_norm(gradient))
         )
         gap0 = float(s.x0 @ s.z0)
     min_x = float(s.x0.min())

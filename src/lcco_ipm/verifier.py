@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .problem import Problem
+from .problem import Problem, _reported_norm
 
 __all__ = [
     "LP_SIZE_LIMIT",
@@ -92,8 +92,8 @@ def kkt_residuals(p: Problem, x, y, z) -> KktResiduals:
     with np.errstate(over="ignore"):
         gradient = p.objective.evaluate(x)[1]
         return KktResiduals(
-            primal=float(np.linalg.norm(p.A @ x - p.b)),
-            dual=float(np.linalg.norm(p.A.T @ y + z - gradient)),
+            primal=_reported_norm(p.A @ x - p.b),
+            dual=_reported_norm(p.A.T @ y + z - gradient),
             complementarity=float(x @ z),
             min_x=float(x.min()),
             min_z=float(z.min()),

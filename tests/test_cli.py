@@ -197,6 +197,10 @@ class TestExitCodes:
             assert main(["solve", str(path), "--check"]) == 2
         captured = capsys.readouterr()
         assert "status: invalid_start" in captured.out
+        # Q is PSD, so f overflows towards +inf; the residuals are finite
+        # (||A x0 - b|| = 1.409e200) although their sums of squares are not.
+        assert "objective: inf\n" in captured.out
+        assert "kkt: primal 1.409e+200 dual 2.140e+200 " in captured.out
         assert captured.err == ""
 
     def test_iteration_cap_exits_four(self, instance_path, capsys):

@@ -70,6 +70,15 @@ class TestObjective:
         spec = ObjectiveSpec.quadratic([1.0], [[2.0]])
         assert spec.evaluate([0.0])[0] == 0.0
 
+    @pytest.mark.parametrize(
+        "c, value",
+        # 2e308 overflows before -1e308 is added; 2e308 - 2e308 is inf - inf.
+        [([2.0, -1.0], 1e308), ([2.0, -2.0], 0.0)],
+    )
+    def test_a_value_whose_terms_overflow_is_rescaled(self, c, value):
+        with np.errstate(over="ignore"):  # as in every caller that may overflow
+            assert ObjectiveSpec.linear(c).evaluate([1e308, 1e308])[0] == value
+
     def test_validate_rejects_asymmetric_curvature(self):
         spec = ObjectiveSpec(kind="quadratic", c=[0.0, 0.0], Q=[[1.0, 2.0], [0.0, 1.0]])
         with pytest.raises(InstanceError):
@@ -155,6 +164,16 @@ class TestStartValidation:
         assert not report.admissible
         assert report.gap0 == sum(a * b for a, b in zip(x0, z0))
         assert report.gamma0 == math.inf
+
+    def test_residuals_whose_squares_overflow_stay_finite(self):
+        p = generate_instance(4, 2, "quadratic", 1)
+        x0 = np.full(4, 1e200)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            report = validate_start(p, StartPoint(x0=x0, y0=p.start.y0, z0=p.start.z0), 1)
+        assert report.primal_residual == pytest.approx(math.hypot(*(p.A @ x0 - p.b)), rel=1e-14)
+        assert 0.0 < report.dual_residual < math.inf
+        assert not report.admissible
 
     def test_dual_residual_reflects_a_shifted_slack(self):
         p = generate_instance(4, 2, "linear", 3)

@@ -22,23 +22,57 @@ def load(name):
     return module
 
 
-def test_inequality_scan_prints_the_range_its_verdict_grades(capsys):
-    # Next to w = 1 the expanded ratio cancels; the printed range must
-    # come from the same factored form that check_eq117_inequality grades.
+def test_inequality_proof_covers_every_power_up_to_r_max(capsys):
+    # At r = 1 eq115 and eq117 hold with equality for every w; at r = 2 so
+    # does eq117 (the ratio is identically 1).
     script = load("check_inequalities")
-    argv = ["--w-min", "0.9999", "--w-max", "1.0001", "--steps", "2000"]
-    assert script.main(argv) == 0
+    assert script.main(["--r-max", "12"]) == 0
+    expected = [
+        "r= 1: pointwise identity; ratio identity",
+        "r= 2: pointwise (w-1)^2 x positive; ratio identity",
+        *(f"r={r:>2}: pointwise (w-1)^2 x positive; ratio positive" for r in range(3, 13)),
+        "proved for every w > 0",
+    ]
+    assert capsys.readouterr().out == "\n".join(expected) + "\n"
+
+
+def test_inequality_proof_fails_on_a_lowered_coefficient(monkeypatch, capsys):
+    # P_4 has a double root at w = 1; lowering its w^4 coefficient by 1
+    # makes P_4(1) = -1 while P_4(0) stays 1, so only Sturm's count can
+    # find the root in (0, 1) that breaks the bound.
+    script = load("check_inequalities")
+    exact = script.pointwise
+
+    def lowered(r):
+        coefficients = exact(r)
+        if r == 4:
+            coefficients[4] -= 1
+        return coefficients
+
+    monkeypatch.setattr(script, "pointwise", lowered)
+    assert script.main(["--r-max", "5"]) == 1
     out = capsys.readouterr().out
-    low, high = re.search(r"r= 2: .*ratio range \[(\S+), (\S+)\]", out).groups()
-    assert 0.0 <= float(low) <= float(high) <= 1.0 + 1e-9
+    assert "r= 4: pointwise NOT PROVED; ratio positive\n" in out
+    assert out.count("NOT PROVED") == 2  # the r = 4 line and the closing line
 
 
 @pytest.mark.parametrize(
-    "bad",
-    # Powers outside [1, R_MAX], a one-point grid, and a grid whose one
-    # allocation numpy refuses at once (8 TB), so the test gets no memory.
-    [["--r-max", "13"], ["--r-max", "0"], ["--steps", "1"], ["--steps", "1000000000000"]],
+    "coefficients, verdict",
+    # Lowest power first.
+    [
+        ([0, 0], "identity"),
+        ([2, 3, 1], "positive"),  # (w + 1)(w + 2): its roots are negative
+        ([6, -5, 1], "NOT PROVED"),  # (w - 2)(w - 3): positive at 0 and at infinity
+        ([1, -2, 1], "(w-1)^2 x positive"),
+        ([2, -3, 1], "NOT PROVED"),  # (w - 1)(w - 2): a simple root at 1
+        ([-1, 0, 1], "NOT PROVED"),  # (w - 1)(w + 1)
+    ],
 )
+def test_inequality_proof_verdicts_on_small_polynomials(coefficients, verdict):
+    assert load("check_inequalities").verdict(coefficients) == verdict
+
+
+@pytest.mark.parametrize("bad", [["--r-max", "13"], ["--r-max", "0"]])  # outside [1, R_MAX]
 def test_inequality_scan_rejects_bad_values_with_an_error_line(bad, capsys):
     script = load("check_inequalities")
     assert script.main(bad) == 1
