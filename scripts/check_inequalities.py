@@ -5,11 +5,15 @@ For each kernel power r this proves, in exact integer arithmetic:
   * the pointwise bound (eq115) w^2 + w p(w) >= 1 - p(w)^2 / 4 as
     P_r >= 0, where P_r is its slack times r^2 w^(2r-2) > 0,
         P_r = r^2 w^(2r) + 2r w^r (1 - w^r) + (1 - w^r)^2 - r^2 w^(2r-2);
-  * the ratio bound (eq117) ratio <= (r-1)^2 as U_r >= 0, where U_r is
-    its slack on the factored form in `eq117_ratio`'s docstring times S0^2,
+  * the ratio bound (eq117) 0 <= ratio <= (r-1)^2, where
+        ratio = ((r-1)^2 w^(2r) + (2r-2) w^r - r^2 w^(2r-2) + 1) / (1 - w^r)^2.
+    Its numerator is P_r, and it equals ((r-1) w^r + 1)^2 - (r w^(r-1))^2.
+    With (r-1) w^r - r w^(r-1) + 1 = (1-w)^2 S1 and 1 - w^r = (1-w) S0,
+        S1 = sum_{k=0}^{r-2} (k+1) w^k,   S0 = sum_{k=0}^{r-1} w^k,
+    the ratio is S1 ((r-1) w^r + 1 + r w^(r-1)) / S0^2, whose singularity
+    at w = 1 is removed.  Every term of that form is positive, so
+    0 <= ratio; the upper bound is proved as U_r >= 0, its slack times S0^2,
         U_r = (r-1)^2 S0^2 - S1 ((r-1) w^r + 1 + r w^(r-1)).
-    The lower bound 0 <= ratio holds because every term of that form is
-    positive.
 
 Each verdict is `identity` (the polynomial is 0, so the bound holds with
 equality), `(w-1)^2 x positive`, `positive`, or `NOT PROVED`.  A

@@ -18,9 +18,7 @@ from .centralpath import (
     IterateState,
     MonitorReport,
     ScaledDirections,
-    check_eq117_inequality,
     contraction_coefficient,
-    eq117_ratio,
     monitor_step,
     p_vector,
     proximity,
@@ -106,10 +104,8 @@ __all__ = [
     "TraceRecord",
     "UnboundedError",
     "__version__",
-    "check_eq117_inequality",
     "contraction_coefficient",
     "default_theta",
-    "eq117_ratio",
     "gamma_threshold",
     "generate_instance",
     "iteration_bound",

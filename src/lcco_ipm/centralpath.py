@@ -12,8 +12,9 @@ recovers the classical square-root kernel and larger r steepens the pull
 toward the center.  `monitor_step` grades one full Newton step against the
 inequalities the convergence guarantee rests on (componentwise lower bound
 on the post-step scaling, quadratic proximity contraction, duality-gap
-ceiling, and the kernel inequalities).  Monitors are advisory: they report
-outcomes, the caller decides what to do with them.
+ceiling, the pointwise kernel bound eq115, and the direction bounds
+eq111 and eq112).  Monitors are advisory: they report outcomes, the
+caller decides what to do with them.
 
 Public functions validate their input, then call the unchecked kernels
 that hold each formula once: `_scaling`, `_p`, `_dot`, `_norm`,
@@ -53,8 +54,6 @@ __all__ = [
     "scaled_directions",
     "contraction_coefficient",
     "monitor_step",
-    "eq117_ratio",
-    "check_eq117_inequality",
 ]
 
 # Largest admissible kernel power.  theta = 1/(e^(2r) sqrt(n)) is already
@@ -68,10 +67,6 @@ MONITOR_SLACK = 1e-9
 # Hard tolerance for the algebraic identities a correct Newton step must
 # satisfy in scaled variables.
 _IDENTITY_TOL = 1e-10
-
-# Half-width of the excluded neighbourhood of w = 1 where the ratio in
-# `check_eq117_inequality` has its removable singularity.
-_UNIT_EXCLUSION = 1e-9
 
 
 class InteriorError(ValueError):
@@ -382,42 +377,3 @@ def _grade(gamma_before, gamma_after, min_w, eq115_slack, norm_pw, norm_qw, dxTd
     for margin, applies in zip(margins[1:], (close, close, True, True, True)):
         worst = np.where(applies & (margin < worst), margin, worst)
     return flags, contraction_bound, gap_bound, worst
-
-
-def eq117_ratio(w_grid, r: int) -> np.ndarray:
-    """Componentwise ratio bounded by `check_eq117_inequality`,
-
-        ((r-1)^2 w^(2r) + (2r-2) w^r - r^2 w^(2r-2) + 1) / (1 - w^r)^2.
-
-    Its singularity at w = 1 is removable (the limit is r - 1), but
-    components within 1e-9 of 1 raise ValueError rather than being
-    evaluated, and nonpositive ones raise InteriorError.  It is evaluated
-    in the factored form
-
-        S1 ((r-1) w^r + 1 + r w^(r-1)) / S0^2,
-        S1 = sum_{k=0}^{r-2} (k+1) w^k,   S0 = sum_{k=0}^{r-1} w^k,
-
-    which follows from numerator = ((r-1) w^r + 1)^2 - (r w^(r-1))^2,
-    (r-1) w^r - r w^(r-1) + 1 = (1-w)^2 S1 and 1 - w^r = (1-w) S0.  It
-    has no subtraction for w > 0, so it stays accurate next to w = 1,
-    where the expanded numerator cancels.
-    """
-    r = _checked_power(r)
-    w = _interior_vector(w_grid, "w_grid")
-    if np.any(np.abs(w - 1.0) < _UNIT_EXCLUSION):
-        raise ValueError("w_grid must exclude a neighbourhood of 1")
-    powers = w ** np.arange(r)[:, np.newaxis]
-    s0 = powers.sum(axis=0)
-    s1 = (np.arange(1, r)[:, np.newaxis] * powers[:-1]).sum(axis=0)
-    return s1 * ((r - 1) * w**r + 1.0 + r * w ** (r - 1)) / s0**2
-
-
-def check_eq117_inequality(w_grid, r: int) -> bool:
-    """Whether 0 <= eq117_ratio(w_grid, r) <= (r-1)^2, with slack 1e-9 on both sides.
-
-    For r = 1 the numerator vanishes identically and the bound pins the
-    ratio to zero.
-    """
-    ratio = eq117_ratio(w_grid, r)
-    upper = (r - 1) ** 2 + MONITOR_SLACK
-    return bool(np.all(ratio >= -MONITOR_SLACK) and np.all(ratio <= upper))

@@ -112,9 +112,11 @@ def _null_space(A: np.ndarray, hessian: np.ndarray):
 
     Returns [N; HN], [N'; (A')^+], N'HN and each member's grade of A:
     cond(A)^2, inf where A has exactly dependent rows (or m > n), or NaN
-    where it is not finite.
+    where it is not finite.  A problem with no constraints raises ValueError.
     """
     count, m, n = A.shape
+    if m < 1:
+        raise ValueError(f"solver requires m >= 1, got {m}")
     q, r = np.linalg.qr(A.transpose(0, 2, 1), mode="complete")
     null = q[:, :, m:]
     k = null.shape[-1]

@@ -1,4 +1,4 @@
-"""Central-path algebra: kernel, proximity, monitors, grid inequalities.
+"""Central-path algebra: kernel, proximity, directions and monitors.
 
 The contraction coefficient is graded against an independent
 high-precision oracle (mpmath, 60 digits) that evaluates the raw formula
@@ -25,9 +25,7 @@ from lcco_ipm import (
     IterateState,
     MonitorReport,
     ScaledDirections,
-    check_eq117_inequality,
     contraction_coefficient,
-    eq117_ratio,
     generate_instance,
     monitor_step,
     newton_step,
@@ -408,50 +406,3 @@ class TestArrayGrader:
         for a, b in zip(flat, block):
             assert np.array_equal(a.reshape(b.shape), b, equal_nan=a.dtype != bool)
 
-
-class TestKernelRatioGrid:
-    def test_holds_on_the_reference_grid(self):
-        w = np.arange(10, 501) / 100.0
-        w = w[np.abs(w - 1.0) >= 1e-9]
-        for r in range(1, 6):
-            assert check_eq117_inequality(w, r) is True
-
-    def test_ratio_is_identically_one_for_r2(self):
-        # (w^4 + 2w^2 - 4w^2 + 1) = (1 - w^2)^2, so the ratio is exactly 1.
-        w = np.array([0.5, 2.0, 5.0])
-        assert check_eq117_inequality(w, 2) is True
-
-    def test_holds_next_to_the_removable_singularity(self):
-        # The expanded numerator cancels next to w = 1, and at r = 2 the
-        # ratio sits exactly on its upper bound there.
-        for r in range(1, 6):
-            for w in (0.99999, 1.00001, 1.0 + 1e-7, 1.0 - 1e-7):
-                assert check_eq117_inequality([w], r) is True, (w, r)
-
-    def test_ratio_values_next_to_the_removable_singularity(self):
-        # At r = 2 the ratio is identically 1.  On this grid the expanded
-        # numerator gives 0.976..1.020; the factored form stays at 1.
-        w = np.linspace(0.9999, 1.0001, 2000)
-        w = w[np.abs(w - 1.0) >= 1e-9]
-        assert np.abs(eq117_ratio(w, 2) - 1.0).max() <= 1e-12
-        assert np.array_equal(eq117_ratio(w, 1), np.zeros(w.size))
-
-    def test_rejects_the_removable_singularity(self):
-        with pytest.raises(ValueError):
-            check_eq117_inequality([0.5, 1.0], 2)
-        with pytest.raises(ValueError):
-            check_eq117_inequality([1.0 + 1e-10], 3)
-
-    def test_rejects_nonpositive_grid(self):
-        with pytest.raises(InteriorError):
-            check_eq117_inequality([0.5, -0.5], 2)
-
-    @given(
-        w=positive_vectors(low=1e-2, high=50.0),
-        r=st.integers(min_value=1, max_value=5),
-    )
-    def test_holds_on_random_grids(self, w, r):
-        w = w[np.abs(w - 1.0) >= 1e-6]
-        if w.size == 0:
-            return
-        assert check_eq117_inequality(w, r) is True

@@ -1,13 +1,17 @@
 """Command-line surface: arguments, outputs, files, and exit codes."""
 
+import io
 import os
 import subprocess
 import sys
 import warnings
+from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from lcco_ipm import (
     ObjectiveSpec,
@@ -478,3 +482,74 @@ class TestRoundTrip:
         assert main(["solve", str(path), "--check"]) == 0
         out = capsys.readouterr().out
         assert "-> agree" in out
+
+
+# Tokens at the edges of what a double holds, and past them.
+EXTREME_TOKENS = ("0", "-0", "5e-324", "1e308", "-1e308", "inf", "nan", "1e-300", "1e200")
+
+
+def mutate(text, tokens, shape, at):
+    """Instance text with extreme tokens, then one change of shape.
+
+    Each (i, token) in tokens replaces the i-th number after the three
+    header lines, counted modulo their count.  shape is None, "rank" (A's
+    second row repeats its first), "huge" (n declared as 10^12), or
+    "duplicate", "truncate" or "reorder", applied to line at[0].
+    """
+    lines = [line.split() for line in text.splitlines()]
+    numbers = [(k, f) for k, line in enumerate(lines[3:], 3) for f, field in enumerate(line)
+               if not field.isalpha()]  # the keywords are the only words
+    for i, token in tokens:
+        k, f = numbers[i % len(numbers)]
+        lines[k][f] = token
+    k, j = at[0] % len(lines), at[1]
+    if shape == "rank":
+        first = lines.index(["A"]) + 1
+        lines[first + 1] = lines[first]
+    elif shape == "huge":
+        lines[1] = ["n", "1000000000000"]
+    elif shape == "duplicate":
+        lines.insert(k, lines[k])
+    elif shape == "truncate":  # the line keeps its first j % 4 fields
+        lines[k] = lines[k][: j % 4]
+    elif shape == "reorder":
+        swap = j % len(lines)
+        lines[k], lines[swap] = lines[swap], lines[k]
+    return "".join(" ".join(line) + "\n" for line in lines)
+
+
+class TestHostileInstanceText:
+    @pytest.fixture(scope="class")
+    def sources(self, tmp_path_factory):
+        folder = tmp_path_factory.mktemp("hostile")
+        texts = {}
+        for kind in ("linear", "quadratic"):
+            path = folder / f"{kind}.lcco"
+            generate = ["generate", "--n", "4", "--m", "2", "--objective", kind]
+            assert main([*generate, "--seed", "1", "--out", str(path)]) == 0
+            texts[kind] = path.read_text()
+        return folder, texts
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        kind=st.sampled_from(("linear", "quadratic")),
+        tokens=st.lists(
+            st.tuples(st.integers(0, 63), st.sampled_from(EXTREME_TOKENS)), max_size=3
+        ),
+        shape=st.sampled_from((None, "rank", "huge", "duplicate", "truncate", "reorder")),
+        at=st.tuples(st.integers(0, 63), st.integers(0, 63)),
+    )
+    def test_mutated_instances_exit_with_a_documented_code(
+        self, sources, kind, tokens, shape, at
+    ):
+        # Each mutant ends with an exit code from the documented table,
+        # never an exception or a warning.
+        folder, texts = sources
+        path = folder / "mutant.lcco"
+        path.write_text(mutate(texts[kind], tokens, shape, at))
+        out, err = io.StringIO(), io.StringIO()
+        with warnings.catch_warnings(), redirect_stdout(out), redirect_stderr(err):
+            warnings.simplefilter("error")
+            code = main(["solve", str(path), "--max-iter", "30", "--check"])
+        assert code in {0, 1, 2, 3, 4}
+        assert "Traceback" not in out.getvalue() + err.getvalue()

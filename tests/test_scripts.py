@@ -4,12 +4,13 @@ import hashlib
 import importlib.util
 import itertools
 import re
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from lcco_ipm import SolverConfig, generate_instance, solve, trace_to_csv
+from lcco_ipm import R_MAX, SolverConfig, generate_instance, p_vector, solve, trace_to_csv
 from lcco_ipm import solver as solver_module
 
 SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
@@ -34,6 +35,26 @@ def test_inequality_proof_covers_every_power_up_to_r_max(capsys):
         "proved for every w > 0",
     ]
     assert capsys.readouterr().out == "\n".join(expected) + "\n"
+
+
+@pytest.mark.parametrize("r", range(1, R_MAX + 1))
+def test_inequality_proof_polynomials_are_the_monitored_kernel(r):
+    # U_r (1 - w)^2 = (r-1)^2 (1 - w^r)^2 - P_r, exactly: the eq117
+    # numerator is P_r.  And P_r is eq115's slack on the kernel the
+    # monitors run, times r^2 w^(2r-2).
+    script = load("check_inequalities")
+    pointwise = script.pointwise(r)
+    one_minus = script.poly((1, 0), (-1, r))
+    square = script.mul(one_minus, one_minus)
+    target = [
+        (r - 1) ** 2 * a - b for a, b in itertools.zip_longest(square, pointwise, fillvalue=0)
+    ]
+    assert script.trim(script.mul(script.ratio(r), [1, -2, 1])) == script.trim(target)
+    for w in (0.25, 0.5, 0.75, 1.5, 2.0, 3.0):
+        p = p_vector([w], r)[0]
+        terms = r * r * w ** (2 * r - 2) * np.array([w * w, w * p, -1.0, p * p / 4.0])
+        exact = float(sum(Fraction(c) * Fraction(w) ** k for k, c in enumerate(pointwise)))
+        assert abs(exact - terms.sum()) <= 1e-12 * np.abs(terms).sum(), (r, w)
 
 
 def test_inequality_proof_fails_on_a_lowered_coefficient(monkeypatch, capsys):

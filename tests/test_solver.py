@@ -751,6 +751,21 @@ class TestRejectedRuns:
         with pytest.raises(ValueError):
             solve(p)
 
+    def test_problem_without_constraints_raises(self):
+        # A raw, unvalidated m = 0 problem with an interior start: the loop
+        # and the public step reject it through one check.
+        x0, y0, z0 = np.ones(3), np.zeros(0), np.ones(3)
+        p = Problem(
+            A=np.zeros((0, 3)),
+            b=np.zeros(0),
+            objective=ObjectiveSpec.linear([1.0, 1.0, 1.0]),
+            start=StartPoint(x0=x0, y0=y0, z0=z0),
+        )
+        state = IterateState.from_point(x0, y0, z0, 1.0)
+        for run in (lambda: solve(p), lambda: solve_many([p, p]), lambda: newton_step(p, state, 1)):
+            with pytest.raises(ValueError, match="m >= 1"):
+                run()
+
     def test_non_interior_start_is_rejected_not_run(self):
         p = generate_instance(4, 2, "linear", 1)
         bad = StartPoint(
