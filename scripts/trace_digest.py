@@ -1,14 +1,12 @@
 """Hash everything the solver reports on a grid of runs into one digest.
 
 Solves every (n, kind, seed, r) combination, like run_grid.py, with one
-`solve_many` batch per (n, r) group.  Each run gets three sha256 of its
-trace as its blocks stream in: one of its trace CSV bytes, one of the
-repr of every trace record (all fields, monitors included), and one of
-the bytes of the three row fields no record carries (eq115_slack,
-condition and step_residual, row by row).  When a batch ends, its runs
-are fed in (n, r, kind, seed) order into one sha256 with those three
-digests, the status, iteration count, bound and final gap, and the
-bytes of the final x, y and z.  No trace is held whole.
+`solve_many` batch per (n, r) group.  Each run gets two sha256 of its
+trace as its blocks stream in: one of its trace CSV bytes, and one of
+the bytes of its rows, every field in dtype order, row by row.  When a
+batch ends, its runs are fed in (n, r, kind, seed) order into one sha256
+with those two digests, the status, iteration count, bound and final
+gap, and the bytes of the final x, y and z.  No trace is held whole.
 Two builds print the same digest exactly when they agree bit for bit on
 all of it.  Batching changes no bit of a member's result, so a build
 that solves the runs one at a time prints the same digest.  It takes
@@ -25,19 +23,12 @@ import itertools
 import sys
 from pathlib import Path
 
-import numpy as np
-
 from lcco_ipm import TRACE_HEADER, solve_many, trace_to_csv
 
 # scripts/ is not a package, so the sibling is loaded by its path.
 _spec = importlib.util.spec_from_file_location("run_grid", Path(__file__).with_name("run_grid.py"))
 run_grid = importlib.util.module_from_spec(_spec)
 _spec.loader.exec_module(run_grid)
-
-
-def extra_bytes(trace) -> bytes:
-    """The row fields that neither the CSV nor a record carries, row by row."""
-    return np.stack([trace.eq115_slack, trace.condition, trace.step_residual], axis=1).tobytes()
 
 
 def main(argv=None) -> int:
@@ -51,17 +42,15 @@ def main(argv=None) -> int:
         problems = [grid[n][run] for run in itertools.product(args.kinds, args.seeds)]
         for r in args.r:
             csv = [hashlib.sha256(f"{TRACE_HEADER}\n".encode()) for _ in problems]
-            reprs = [hashlib.sha256() for _ in problems]
-            extras = [hashlib.sha256() for _ in problems]
+            rows = [hashlib.sha256() for _ in problems]
 
             def on_block(i, block):
                 # trace_to_csv of the whole trace is the header, then each row.
                 csv[i].update(trace_to_csv(block)[len(TRACE_HEADER) + 1 :].encode())
-                reprs[i].update("".join(map(repr, block)).encode())
-                extras[i].update(extra_bytes(block))
+                rows[i].update(block.tobytes())
 
             batch = solve_many(problems, configs[r], on_block=on_block)
-            for result, *run_digests in zip(batch, csv, reprs, extras):
+            for result, *run_digests in zip(batch, csv, rows):
                 for run_digest in run_digests:
                     digest.update(run_digest.digest())
                 digest.update(

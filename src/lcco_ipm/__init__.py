@@ -50,8 +50,6 @@ from .solver import (
     TRACE_HEADER,
     SolveResult,
     SolverConfig,
-    Trace,
-    TraceRecord,
     default_theta,
     gamma_threshold,
     iteration_bound,
@@ -100,8 +98,6 @@ __all__ = [
     "SolveResult",
     "SolverConfig",
     "StartPoint",
-    "Trace",
-    "TraceRecord",
     "UnboundedError",
     "__version__",
     "contraction_coefficient",

@@ -287,21 +287,6 @@ class MonitorReport:
     gap_bound: float
     worst_margin: float
 
-    @property
-    def flags(self) -> dict[str, bool]:
-        return {
-            "lemma2": self.lemma2_ok,
-            "lemma4": self.lemma4_ok,
-            "lemma5": self.lemma5_ok,
-            "eq111": self.eq111_ok,
-            "eq112": self.eq112_ok,
-            "eq115": self.eq115_ok,
-        }
-
-    @property
-    def violation_count(self) -> int:
-        return sum(not ok for ok in self.flags.values())
-
 
 def monitor_step(
     before: IterateState, after: IterateState, dirs: ScaledDirections, r: int

@@ -301,6 +301,12 @@ def run_sweep(args) -> int:
         raise _UsageError(f"--r-max must be at least 1, got {args.r_max}")
     if problem.start is None:
         return _no_start(args.instance)
+    try:
+        # Append mode proves the path writable, before any solve, without
+        # emptying a table that is already there.
+        open(args.out, "a").close()
+    except OSError as exc:
+        raise _UsageError(f"cannot write {args.out}: {exc}") from None
     configs = [_build_config(args, r) for r in range(1, args.r_max + 1)]
     results = [solve(problem, cfg) for cfg in configs]
     rows = [

@@ -33,8 +33,6 @@ stopped there; or else as converged or iteration_cap.
 from __future__ import annotations
 
 import math
-import operator
-from collections.abc import Sequence
 from dataclasses import dataclass, fields
 from typing import Union
 
@@ -66,8 +64,6 @@ __all__ = [
     "TRACE_HEADER",
     "SolverConfig",
     "SolveResult",
-    "Trace",
-    "TraceRecord",
     "default_theta",
     "gamma_threshold",
     "iteration_bound",
@@ -182,118 +178,34 @@ class SolverConfig:
         return int(self.max_iterations)
 
 
-@dataclass(frozen=True, slots=True)
-class TraceRecord:
-    """Diagnostics of one completed iteration.
-
-    `iteration` counts from 1.  mu and gamma describe the iterate after
-    the full step at the updated barrier value; primal_res and dual_res
-    are the feasibility residuals of the new iterate.  The last three
-    fields support cheap offline verification: the gradient norm scales
-    the dual tolerance, kernel_defect is ||dx + dz - p_w|| in scaled
-    space, and scaled_primal is ||A dx_full|| / mu, the first equation of
-    the scaled step system.
-    """
-
-    iteration: int
-    mu: float
-    gap: float
-    gamma: float
-    min_w: float
-    norm_pw: float
-    norm_qw: float
-    dxTdz: float
-    primal_res: float
-    dual_res: float
-    monitors: MonitorReport
-    grad_norm: float
-    kernel_defect: float
-    scaled_primal: float
-
-
-# One row of a Trace: iteration and the floats of TraceRecord, then the
-# flags and floats of its MonitorReport (gamma_after is gamma), then three
-# values no record carries.  Every column, the step block and the CSV
-# export are fields of this dtype.  Each field has the type its dataclass
-# annotates, a string ("int", "float" or "bool") that numpy reads as a dtype.
+# One row of a trace, with the fields SolveResult lists, packed: 166 bytes.
+# A MonitorReport field has the type its dataclass annotates, a string
+# ("float" or "bool") that numpy reads as a dtype.
 _TRACE_ROW = np.dtype(
-    [(f.name, f.type) for f in fields(TraceRecord) if f.name != "monitors"]
+    [("iteration", "int")]
+    + [(name, "float") for name in ("mu", "gap", "gamma", "min_w", "norm_pw", "norm_qw",
+                                    "dxTdz", "primal_res", "dual_res", "grad_norm",
+                                    "kernel_defect", "scaled_primal")]
     + [(f.name, f.type) for f in fields(MonitorReport) if f.name != "gamma_after"]
     + [(name, "float") for name in ("eq115_slack", "condition", "step_residual")]
 )
 _FLAGS = [name for name in _TRACE_ROW.names if _TRACE_ROW[name].kind == "b"]
 
 
-# Where `_record` finds each field of a record in a row: gamma_after is
-# gamma, and the monitor report is appended to the row.
-_AT = {name: k for k, name in enumerate(_TRACE_ROW.names)}
-_AT.update(gamma_after=_AT["gamma"], monitors=len(_AT))
-_REPORT_VALUES = operator.itemgetter(*(_AT[f.name] for f in fields(MonitorReport)))
-_RECORD_VALUES = operator.itemgetter(*(_AT[f.name] for f in fields(TraceRecord)))
+def _trace(rows: np.ndarray) -> np.recarray:
+    # A read-only recarray view of (T,) rows of dtype _TRACE_ROW.
+    trace = rows.view(np.recarray)
+    trace.setflags(write=False)
+    return trace
 
 
-def _record(row: tuple) -> TraceRecord:
-    # One row of a Trace, from the Python values `tolist` gives.
-    return TraceRecord(*_RECORD_VALUES((*row, MonitorReport(*_REPORT_VALUES(row)))))
-
-
-class Trace(Sequence):
-    """A run's trace: a read-only sequence of TraceRecord, held as one row array.
-
-    A record is built only when it is read, and a trace equals any
-    sequence of equal records, so `trace == ()` holds for an empty one.
-    A slice is a Trace.  Each field of the rows reads as a read-only
-    array: `trace.iteration`, `trace.gamma`, and likewise every float
-    field of TraceRecord (mu, gap, ..., scaled_primal), the fields of its
-    monitor report (the flags lemma2_ok, ..., eq112_ok as bools, then
-    gamma_before, contraction_bound, gap_bound and worst_margin), and
-    three fields no record carries: eq115_slack, the smallest eq115
-    slack; condition, the 1-norm condition of the step system, as
-    `NewtonStep` has it; and step_residual, the worst relative residual
-    of the step equations.
-    """
-
-    __slots__ = ("_rows",)
-
-    def __init__(self, rows: np.ndarray):
-        # (T,) rows of dtype _TRACE_ROW.
-        rows.setflags(write=False)
-        self._rows = rows
-
-    @classmethod
-    def concat(cls, parts) -> "Trace":
-        """One trace of `parts` in order; the empty trace if there are none."""
-        # Joined as opaque rows: numpy promotes a structured dtype field by
-        # field in Python, which took 13 times as long for 12 parts.
-        raw = np.dtype((np.void, _TRACE_ROW.itemsize))
-        rows = [np.empty(0, raw), *(part._rows.view(raw) for part in parts)]
-        return cls(np.concatenate(rows).view(_TRACE_ROW))
-
-    def __getattr__(self, name):
-        if name in _TRACE_ROW.names:
-            return self._rows[name]
-        raise AttributeError(f"'Trace' object has no attribute {name!r}")
-
-    def __len__(self) -> int:
-        return len(self._rows)
-
-    def __getitem__(self, index):
-        if isinstance(index, slice):
-            return Trace(self._rows[index])
-        return _record(self._rows[index].item())
-
-    def __iter__(self):
-        return map(_record, self._rows.tolist())
-
-    def __eq__(self, other):
-        if not isinstance(other, Sequence):
-            return NotImplemented
-        return len(self) == len(other) and all(map(operator.eq, self, other))
-
-    __hash__ = None
-
-    def __repr__(self) -> str:
-        return f"<Trace of {len(self)} records>"
+def _join(parts) -> np.recarray:
+    # One trace of `parts` in order; the empty trace if there are none.
+    # Joined as opaque rows: numpy promotes a structured dtype field by
+    # field in Python, which took 13 times as long for 12 parts.
+    raw = np.dtype((np.void, _TRACE_ROW.itemsize))
+    rows = [np.empty(0, raw), *(part.view(raw) for part in parts)]
+    return _trace(np.concatenate(rows).view(_TRACE_ROW))
 
 
 @dataclass(frozen=True, eq=False)
@@ -305,6 +217,22 @@ class SolveResult:
     the vectors hold the last interior iterate reached (the start, for
     invalid_start).  monitor_violations counts false monitor flags summed
     over all recorded iterations.
+
+    trace holds one row per completed iteration as a read-only
+    np.recarray: each field reads as a read-only column (`trace.gamma`),
+    `trace[i]` is one np.record (`trace[i].gamma`), and a slice is a
+    trace.  The fields: `iteration`, counting from 1; mu and gamma of the
+    iterate after the full step at the updated barrier value, and its gap,
+    min_w, norm_pw, norm_qw and dxTdz; primal_res and dual_res, the
+    feasibility residuals of the new iterate; grad_norm, which scales the
+    dual tolerance; kernel_defect, ||dx + dz - p_w|| in scaled space;
+    scaled_primal, ||A dx_full|| / mu, the first equation of the scaled
+    step system; the fields of the step's MonitorReport (the flags
+    lemma2_ok, ..., eq112_ok as bools, then gamma_before,
+    contraction_bound, gap_bound and worst_margin; its gamma_after is
+    gamma); eq115_slack, the smallest eq115 slack; condition, the 1-norm
+    condition of the step system, as `NewtonStep` has it; and
+    step_residual, the worst relative residual of the step equations.
     """
 
     status: str
@@ -315,7 +243,7 @@ class SolveResult:
     gap_final: float
     iterations: int
     bound: int
-    trace: Trace
+    trace: np.recarray
     monitor_violations: int
 
 
@@ -369,11 +297,12 @@ def solve_many(
     other member's arithmetic depends on it.
     With on_block, each member's part of a graded block goes to
     on_block(index, block), index being the member's place in `problems`
-    and block a Trace of its next iterations, and the results' traces
-    stay empty; a caller that needs only a summary of the trace then
-    never holds it whole.  on_block runs under the caller's numpy error
-    state; the steps run with floating-point warnings off, since a
-    failing member's NaN or inf raises none before its block is checked.
+    and block a trace of its next iterations, as SolveResult describes
+    one, and the results' traces stay empty; a caller that needs only a
+    summary of the trace then never holds it whole.  on_block runs under
+    the caller's numpy error state; the steps run with floating-point
+    warnings off, since a failing member's NaN or inf raises none before
+    its block is checked.
     """
     problems = list(problems)
     if len({(p.n, p.m) for p in problems}) > 1:
@@ -489,7 +418,7 @@ def solve_many(
                     for k, i in enumerate(ids):
                         violations[i] += failed[k]
                         if kept[k]:
-                            on_block(i, Trace(written[: kept[k], k]))
+                            on_block(i, _trace(written[: kept[k], k]))
             # The one place where a member ends, as the module docstring lists.
             for k, i in enumerate(ids):
                 mu_k, iterations = mu[k], steps
@@ -519,7 +448,7 @@ def solve_many(
                     gap_final=float(gap[k]),
                     iterations=iterations,
                     bound=bounds[i],
-                    trace=Trace.concat(parts[i]),
+                    trace=_join(parts[i]),
                     monitor_violations=violations[i],
                 )
             keep = np.array([results[i] is None for i in ids])
@@ -534,7 +463,7 @@ def solve_many(
             depth = max(1, _CHUNK // x.size)
             # Row t of xs and zs is x and z before step t of the block and
             # row t + 1 after it; and each step's dx, dz, H dx and dy.  The
-            # block's trace rows belong to its Trace parts once graded.
+            # block's trace rows belong to its members' traces once graded.
             xs, zs = np.empty((2, depth + 1, *x.shape))
             dxs, dzs, h_dxs = np.empty((3, depth, *x.shape))
             dys = np.empty((depth, *y.shape))
@@ -569,12 +498,12 @@ _CSV_ROW = ",".join(
 ) + "\n"
 
 
-def trace_to_csv(trace: Trace) -> str:
-    """Render a Trace in the fixed comma-separated export layout.
+def trace_to_csv(trace: np.recarray) -> str:
+    """Render a trace in the fixed comma-separated export layout.
 
     One row per iteration under the TRACE_HEADER columns, numbers with 17
     significant digits, monitor flags as 1/0.  The output is a pure
-    function of the records, so equal traces serialize byte-identically.
+    function of the rows, so equal traces serialize byte-identically.
     """
-    rows = trace._rows[_CSV_FIELDS].tolist()
+    rows = trace[_CSV_FIELDS].tolist()
     return TRACE_HEADER + "\n" + "".join([_CSV_ROW % row for row in rows])

@@ -276,7 +276,7 @@ class TestMonitorStep:
         assert report.contraction_bound == 0.0
         assert report.gap_bound == pytest.approx(4.0 + 1.0 * math.exp(-4.0))
         assert report.worst_margin == 0.0
-        assert report.violation_count == 0
+        assert dataclasses.astuple(report)[:6].count(False) == 0
 
     def test_requires_a_fixed_barrier_value(self):
         with pytest.raises(ValueError):
@@ -299,7 +299,7 @@ class TestMonitorStep:
         assert not report.eq111_ok
         assert report.lemma2_ok  # w = 10 clears the sqrt(1 - 0) floor
         assert report.worst_margin < -1.0
-        assert report.violation_count == 3
+        assert dataclasses.astuple(report)[:6].count(False) == 3
 
     def test_hypothesis_gates_disable_lemma_checks(self):
         # Proximity far above 1/e^r: lemma 4/5 are vacuous, flags stay true.

@@ -23,6 +23,7 @@ from lcco_ipm import (
     serialize_instance,
     solve,
 )
+from lcco_ipm import cli
 from lcco_ipm.cli import SWEEP_HEADER, _EXIT_BY_STATUS, main
 
 SRC = Path(__file__).resolve().parent.parent / "src"
@@ -463,6 +464,25 @@ class TestSweep:
         assert len(lines) == 3
         assert all(line.split(",")[7] == "invalid_start" for line in lines[1:])
         assert all(line.split(",")[5] == "0" for line in lines[1:])  # no trace, max_gamma 0.0
+
+
+    def test_an_unwritable_out_fails_before_any_solve(
+        self, tmp_path, instance_path, monkeypatch, capsys
+    ):
+        calls = []
+
+        def counting(*args):
+            calls.append(args)
+            return solve(*args)
+
+        monkeypatch.setattr(cli, "solve", counting)
+        out_path = tmp_path / "missing" / "sweep.csv"
+        code = main(["sweep", str(instance_path), "--r-max", "3", "--out", str(out_path)])
+        assert code == 1
+        assert calls == []
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(f"error: cannot write {out_path}: ")
 
 
 class TestRoundTrip:

@@ -116,9 +116,9 @@ def test_trace_digest_is_reproducible(capsys):
 
 @pytest.mark.parametrize("block", [1, 7])
 def test_trace_digest_equals_one_built_from_whole_solo_traces(block, monkeypatch, capsys):
-    # Records and the row fields no record carries, streamed into per-run
-    # digests in blocks of any depth, hash as the whole trace of a solo run
-    # at the default depth does.
+    # Trace CSV and row bytes, streamed into per-run digests in blocks of
+    # any depth, hash as the whole trace of a solo run at the default
+    # depth does.
     script = load("trace_digest")
     monkeypatch.setattr(solver_module, "_CHUNK", 16 * block)  # B n = 16
     assert script.main(["--n", "4", "--seeds", "1", "2", "--r", "1", "2"]) == 0
@@ -128,11 +128,7 @@ def test_trace_digest_equals_one_built_from_whole_solo_traces(block, monkeypatch
         for kind, seed in itertools.product(("linear", "quadratic"), (1, 2)):
             result = solve(generate_instance(4, 2, kind, seed), SolverConfig(epsilon=1e-6, r=r))
             digest.update(hashlib.sha256(trace_to_csv(result.trace).encode()).digest())
-            reprs = "".join(repr(record) for record in result.trace)
-            digest.update(hashlib.sha256(reprs.encode()).digest())
-            trace = result.trace
-            columns = np.stack([trace.eq115_slack, trace.condition, trace.step_residual], axis=1)
-            digest.update(hashlib.sha256(columns.tobytes()).digest())
+            digest.update(hashlib.sha256(result.trace.tobytes()).digest())
             digest.update(
                 f"{result.status},{result.iterations},{result.bound},"
                 f"{result.gap_final!r}".encode()

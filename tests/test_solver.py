@@ -15,8 +15,6 @@ from lcco_ipm import (
     Problem,
     SolverConfig,
     StartPoint,
-    Trace,
-    TraceRecord,
     default_theta,
     gamma_threshold,
     generate_instance,
@@ -186,7 +184,7 @@ class TestConvergedRuns:
         result = solve(p, SolverConfig(epsilon=4.0))
         assert result.status == "converged"
         assert result.iterations == 0
-        assert result.trace == ()
+        assert len(result.trace) == 0
         assert result.bound == 0
         assert np.array_equal(result.x, p.start.x0)
 
@@ -237,12 +235,16 @@ class TestConvergedRuns:
 
 
 def replay(p, cfg, iterations):
-    """The solver's loop rebuilt from the validated public step API."""
+    """The solver's loop rebuilt from the validated public step API.
+
+    Returns each trace field it derives, as a list over the iterations,
+    and the last iterate.
+    """
     r = cfg.r
     theta = cfg.resolved_theta(p.n)
     x, y, z = p.start.x0, p.start.y0, p.start.z0
     mu = float(x @ z) / p.n
-    records = []
+    columns = {}
     for iteration in range(1, iterations + 1):
         mu *= 1.0 - theta
         before = IterateState.from_point(x, y, z, mu)
@@ -252,25 +254,25 @@ def replay(p, cfg, iterations):
         after = IterateState.from_point(x, y, z, mu)
         monitors = monitor_step(before, after, dirs, r)
         gradient = p.objective.evaluate(x)[1]
-        records.append(
-            TraceRecord(
-                iteration=iteration,
-                mu=mu,
-                gap=after.gap(),
-                gamma=monitors.gamma_after,
-                min_w=float(after.w.min()),
-                norm_pw=float(np.linalg.norm(dirs.pw)),
-                norm_qw=float(np.linalg.norm(dirs.qw)),
-                dxTdz=dirs.dxTdz,
-                primal_res=float(np.linalg.norm(p.A @ x - p.b)),
-                dual_res=float(np.linalg.norm(p.A.T @ y + z - gradient)),
-                monitors=monitors,
-                grad_norm=float(np.linalg.norm(gradient)),
-                kernel_defect=float(np.linalg.norm(dirs.dx + dirs.dz - dirs.pw)),
-                scaled_primal=float(np.linalg.norm(p.A @ step.dx_full)) / mu,
-            )
+        row = dataclasses.asdict(monitors)
+        row.update(
+            iteration=iteration,
+            mu=mu,
+            gap=after.gap(),
+            gamma=row.pop("gamma_after"),
+            min_w=float(after.w.min()),
+            norm_pw=float(np.linalg.norm(dirs.pw)),
+            norm_qw=float(np.linalg.norm(dirs.qw)),
+            dxTdz=dirs.dxTdz,
+            primal_res=float(np.linalg.norm(p.A @ x - p.b)),
+            dual_res=float(np.linalg.norm(p.A.T @ y + z - gradient)),
+            grad_norm=float(np.linalg.norm(gradient)),
+            kernel_defect=float(np.linalg.norm(dirs.dx + dirs.dz - dirs.pw)),
+            scaled_primal=float(np.linalg.norm(p.A @ step.dx_full)) / mu,
         )
-    return tuple(records), (x, y, z)
+        for name, value in row.items():
+            columns.setdefault(name, []).append(value)
+    return columns, (x, y, z)
 
 
 class TestReplay:
@@ -283,10 +285,14 @@ class TestReplay:
         cfg = SolverConfig(epsilon=1e-6, r=r, max_iterations=40)
         result = solve(p, cfg)
         assert result.status == "iteration_cap"
-        records, (x, y, z) = replay(p, cfg, 40)
+        columns, (x, y, z) = replay(p, cfg, 40)
         assert len(result.trace) == 40
-        for got, want in zip(result.trace, records):
-            assert got == want
+        # Every field but eq115_slack, condition and step_residual, which
+        # the column tests cover.
+        assert len(columns) == len(solver_module._TRACE_ROW) - 3
+        for name, values in columns.items():
+            got = getattr(result.trace, name)
+            assert got.tobytes() == np.array(values, got.dtype).tobytes(), name
         assert np.array_equal(result.x, x)
         assert np.array_equal(result.y, y)
         assert np.array_equal(result.z, z)
@@ -305,7 +311,7 @@ def assert_same_result(got, want):
     assert got.iterations == want.iterations
     assert got.bound == want.bound
     assert got.monitor_violations == want.monitor_violations
-    assert got.trace == want.trace
+    assert got.trace.tobytes() == want.trace.tobytes()
     for name in ("x", "y", "z"):
         assert getattr(got, name).tobytes() == getattr(want, name).tobytes()
     assert repr(got.mu_final) == repr(want.mu_final)
@@ -423,10 +429,11 @@ class TestSolveMany:
         for i, (p, got) in enumerate(zip(problems, results)):
             want = solve(p, cfg)
             blocks = [block for j, block in received if j == i]
-            assert all(isinstance(block, Trace) and len(block) for block in blocks)
-            assert [record for block in blocks for record in block] == list(want.trace)
-            assert Trace.concat(blocks) == want.trace
-            assert_same_result(got, dataclasses.replace(want, trace=()))
+            assert all(isinstance(block, np.recarray) and len(block) for block in blocks)
+            assert not any(block.flags.writeable for block in blocks)
+            assert b"".join(block.tobytes() for block in blocks) == want.trace.tobytes()
+            assert solver_module._join(blocks).tobytes() == want.trace.tobytes()
+            assert_same_result(got, dataclasses.replace(want, trace=want.trace[:0]))
         assert results[0].iterations != results[1].iterations
         # Members step in lockstep, so the parts of one block arrive in
         # member order and each starts where the member's last one ended.
@@ -453,36 +460,35 @@ class TestTraceColumns:
         traces = [solve(p, cfg).trace, *blocks]
         assert len(traces) == 2
         assert traces[1].mu.strides[0] == 3 * traces[0].mu.strides[0]
-        floats = [f.name for f in dataclasses.fields(TraceRecord) if f.type == "float"]
-        report = [f.name for f in dataclasses.fields(centralpath.MonitorReport)
-                  if f.type == "float"]
-        assert len(floats) == 12 and len(report) == 5
+        names = solver_module._TRACE_ROW.names
+        assert len(names) == 26
         for trace in traces:
-            assert isinstance(trace, Trace)
+            assert isinstance(trace, np.recarray) and trace.dtype.itemsize == 166
             assert trace.iteration.tolist() == list(range(1, 31))
-            for name in ("iteration", *floats, *report):
-                column = getattr(trace, "gamma" if name == "gamma_after" else name)
-                want = [getattr(rec.monitors if name in report else rec, name) for rec in trace]
-                assert column.tolist() == want
+            for name in names:
+                column = getattr(trace, name)
+                assert type(column) is np.ndarray
+                assert column.tolist() == [getattr(rec, name) for rec in trace]
                 with pytest.raises(ValueError):
                     column[0] = 0
             with pytest.raises(AttributeError):
                 trace.monitors
 
-    def test_equals_any_sequence_of_equal_records(self):
+    def test_slices_and_joins_are_read_only_traces(self):
         p = generate_instance(4, 2, "linear", 7)
         trace = solve(p, SolverConfig(epsilon=1e-6, max_iterations=12)).trace
-        records = list(trace)
-        assert trace == records and trace == tuple(records) and records == trace
-        assert trace != records[:-1]
-        assert trace != records[::-1]
-        assert trace != 12
-        assert trace[-1] == records[-1]
-        assert trace[3:7] == records[3:7]
-        assert isinstance(trace[3:7], Trace)
-        assert Trace.concat([trace[:5], trace[5:]]) == trace
-        assert Trace.concat([]) == () == Trace.concat([])
-        assert len(Trace.concat([])) == 0
+        assert len(trace) == 12
+        assert trace[-1].tobytes() == trace[11:].tobytes()
+        assert trace[-1].iteration == 12
+        part = trace[3:7]
+        assert isinstance(part, np.recarray) and not part.flags.writeable
+        assert part.iteration.tolist() == [4, 5, 6, 7]
+        joined = solver_module._join([trace[:5], trace[5:]])
+        assert not joined.flags.writeable
+        assert joined.tobytes() == trace.tobytes()
+        empty = solver_module._join([])
+        assert len(empty) == 0 and empty.dtype == trace.dtype
+        assert not empty.flags.writeable
 
     def test_flag_columns_are_read_only_arrays_of_the_record_flags(self):
         cfg = SolverConfig(epsilon=1e-6, max_iterations=30)
@@ -495,7 +501,7 @@ class TestTraceColumns:
             for name in names:
                 column = getattr(trace, name)
                 assert column.dtype == bool
-                assert column.tolist() == [getattr(rec.monitors, name) for rec in trace]
+                assert column.tolist() == [getattr(rec, name) for rec in trace]
                 with pytest.raises(ValueError):
                     column[0] = True
 
@@ -715,7 +721,7 @@ class TestStepChecks:
             # but for its status and the breach.
             assert results[1].iterations == 45
             assert not results[1].trace.eq111_ok[44]
-            assert results[1].trace[:44] == clean[1].trace[:44]
+            assert results[1].trace[:44].tobytes() == clean[1].trace[:44].tobytes()
             for name in solver_module._TRACE_ROW.names:
                 if name not in ("dxTdz", "eq111_ok", "worst_margin"):
                     got, want = getattr(results[1].trace, name), getattr(clean[1].trace, name)
@@ -779,7 +785,7 @@ class TestRejectedRuns:
         )
         assert result.status == "invalid_start"
         assert result.iterations == 0
-        assert result.trace == ()
+        assert len(result.trace) == 0
         assert np.array_equal(result.x, p.start.x0)
         assert np.array_equal(result.z, bad.z0)
 
@@ -812,7 +818,7 @@ class TestFailureStatuses:
         result = solve(singular_problem(), SolverConfig(epsilon=1e-6))
         assert result.status == "numerical_failure"
         assert result.iterations == 0
-        assert result.trace == ()
+        assert len(result.trace) == 0
         assert np.array_equal(result.x, [1.0, 1.0])
 
     def test_non_finite_iterate_fails_numerically(self, monkeypatch):
@@ -840,7 +846,7 @@ class TestFailureStatuses:
         )
         assert result.status == "iteration_cap"
         assert result.monitor_violations > 0
-        first = result.trace[0].monitors
+        first = result.trace[0]
         assert not first.eq111_ok
         assert not first.eq112_ok
         assert result.trace[0].dxTdz < 0.0
@@ -857,7 +863,7 @@ class TestFailureStatuses:
 
 
 def old_trace_to_csv(trace):
-    """The per-field formatter trace_to_csv replaced, kept verbatim as its reference."""
+    """The per-field formatter trace_to_csv replaced, kept as its reference."""
 
     def _g17(value):
         return format(float(value), ".17g")
@@ -877,8 +883,10 @@ def old_trace_to_csv(trace):
                     _g17(record.dxTdz),
                     _g17(record.primal_res),
                     _g17(record.dual_res),
-                    # lemma2, lemma4, lemma5, eq111, eq112, eq115, as in the header
-                    *("1" if ok else "0" for ok in record.monitors.flags.values()),
+                    *(
+                        "1" if getattr(record, name + "_ok") else "0"
+                        for name in ("lemma2", "lemma4", "lemma5", "eq111", "eq112", "eq115")
+                    ),
                 ]
             )
         )
@@ -932,10 +940,10 @@ class TestTraceExport:
         solved = solve(generate_instance(6, 3, "quadratic", 5), SolverConfig(epsilon=1e-6))
         odd = [-0.0, math.inf, -math.inf, math.nan, 5e-324, 2.2250738585072014e-308,
                1e300, 0.1, -1.5e-17]
-        rows = Trace.concat([solved.trace[:9], result.trace])._rows.copy()
+        rows = solver_module._join([solved.trace[:9], result.trace]).copy()
         names = ("mu", "gap", "gamma", "min_w", "norm_pw", "norm_qw", "dxTdz", "primal_res",
                  "dual_res")
         for j, name in enumerate(names):
             rows[name] = [odd[(k + j) % 9] for k in range(len(rows))]
-        for trace in (Trace(rows), solved.trace, result.trace, Trace.concat([])):
+        for trace in (rows, solved.trace, result.trace, solver_module._join([])):
             assert trace_to_csv(trace) == old_trace_to_csv(trace)
