@@ -15,14 +15,13 @@ from pathlib import Path
 
 import numpy as np
 
-from .problem import generate_instance, parse_instance, serialize_instance
+from .problem import generate_instance, kkt_residuals, parse_instance, serialize_instance
 from .solver import AUTO, SolveResult, SolverConfig, gamma_threshold, solve, trace_to_csv
 from .verifier import (
     LP_SIZE_LIMIT,
     QP_SIZE_LIMIT,
     OracleError,
     ReferenceSolution,
-    kkt_residuals,
     reference_solve_lp,
     reference_solve_qp,
 )
@@ -248,6 +247,15 @@ def _print_check(problem, result: SolveResult) -> None:
     )
 
 
+def _probe_writable(path: str) -> None:
+    # Append mode proves the path writable, before any solve, without
+    # emptying a file that is already there.
+    try:
+        open(path, "a").close()
+    except OSError as exc:
+        raise _UsageError(f"cannot write {path}: {exc}") from None
+
+
 def _no_start(path: str) -> int:
     print(
         f"error: {path} has no start block; the solver needs an "
@@ -262,6 +270,8 @@ def run_solve(args) -> int:
     cfg = _build_config(args, args.r)
     if problem.start is None:
         return _no_start(args.instance)
+    if args.trace:
+        _probe_writable(args.trace)
     result = solve(problem, cfg)
     _print_summary(args.instance, problem, cfg, result)
     if args.trace:
@@ -301,13 +311,8 @@ def run_sweep(args) -> int:
         raise _UsageError(f"--r-max must be at least 1, got {args.r_max}")
     if problem.start is None:
         return _no_start(args.instance)
-    try:
-        # Append mode proves the path writable, before any solve, without
-        # emptying a table that is already there.
-        open(args.out, "a").close()
-    except OSError as exc:
-        raise _UsageError(f"cannot write {args.out}: {exc}") from None
     configs = [_build_config(args, r) for r in range(1, args.r_max + 1)]
+    _probe_writable(args.out)
     results = [solve(problem, cfg) for cfg in configs]
     rows = [
         f"{cfg.r},{cfg.resolved_theta(problem.n):.17g},{result.iterations},{result.bound},"

@@ -195,7 +195,7 @@ def newton_step(p: Problem, state: IterateState, r: int) -> NewtonStep:
     if state.x.min() <= 0.0 or state.z.min() <= 0.0:
         raise InteriorError("iterate is not strictly interior")
     A, x, z, h = p.A[np.newaxis], state.x[np.newaxis], state.z[np.newaxis], h[np.newaxis]
-    space = _null_space(A, p.objective.evaluate(state.x)[2][np.newaxis])
+    space = _null_space(A, p.objective.hessian[np.newaxis])
     # The gates below reject whatever a non-finite value would warn about.
     with np.errstate(all="ignore"):
         inverse, (condition,) = _factor(*space, x, z)

@@ -2,10 +2,11 @@
 
 A problem is min f(x) subject to A x = b, x >= 0, with A full row rank and
 f one of the two families `ObjectiveSpec` holds: linear or convex
-quadratic.  The solver handles only those two: it takes the Hessian H from
-`evaluate` once per solve, as constant, and each gradient as c + H x from
-`objective.c` (H = 0 for kind linear), so it would solve any other
-objective behind a look-alike `evaluate` wrongly.
+quadratic.  The solver handles only those two: it never calls `evaluate`
+after grading the start, but reads the constant Hessian H from
+`objective.hessian` and takes each gradient as c + H x from `objective.c`
+(H = 0 for kind linear), so it would solve any other objective behind a
+look-alike `evaluate` wrongly.
 
 The generator certifies its own starting points: it picks x0 = z0 = e and
 back-solves the dual equation for c, which puts the start exactly on the
@@ -29,7 +30,9 @@ __all__ = [
     "ObjectiveSpec",
     "Problem",
     "StartPoint",
+    "KktResiduals",
     "FeasibilityReport",
+    "kkt_residuals",
     "parse_instance",
     "serialize_instance",
     "generate_instance",
@@ -82,13 +85,15 @@ class ObjectiveSpec:
 
     Construct through `linear` or `quadratic` to get the convexity
     invariants checked; the raw constructor stores what it is given, which
-    tests use to feed the solver deliberately broken oracles.
+    tests use to feed the solver deliberately broken oracles.  `hessian`
+    is the constant, read-only Hessian: Q, or the zero matrix for a linear
+    objective (and for a raw one without Q).
     """
 
     kind: str
     c: np.ndarray
     Q: Optional[np.ndarray] = None
-    _hessian: np.ndarray = field(init=False, repr=False)
+    hessian: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         object.__setattr__(self, "c", _vector(self.c, "c"))
@@ -98,8 +103,9 @@ class ObjectiveSpec:
             if q.shape != (n, n):
                 raise InstanceError(f"Q must be {n}x{n}, got {q.shape}")
             object.__setattr__(self, "Q", _frozen(q))
-        hessian = self.Q if self.Q is not None else _frozen(np.zeros((n, n)))
-        object.__setattr__(self, "_hessian", hessian)
+        quadratic = self.kind != "linear" and self.Q is not None
+        hessian = self.Q if quadratic else _frozen(np.zeros((n, n)))
+        object.__setattr__(self, "hessian", hessian)
 
     @classmethod
     def linear(cls, c) -> "ObjectiveSpec":
@@ -164,7 +170,7 @@ class ObjectiveSpec:
             u = x / scale
             curvature = 0.0 if self.Q is None else max(0.0, float(u @ (self.Q @ u)))
             value = scale * (float(self.c @ u) + 0.5 * scale * curvature)
-        return value, gradient, self._hessian
+        return value, gradient, self.hessian
 
 
 @dataclass(frozen=True, eq=False)
@@ -248,25 +254,19 @@ class Problem:
 
 
 @dataclass(frozen=True)
-class FeasibilityReport:
-    """Graded start-point check.
+class KktResiduals:
+    """Distance of a triple (x, y, z) from the optimality system.
 
-    `admissible` is true iff the start is strictly interior, both
-    residuals are within 1e-8 (1 + norm of the matched right-hand side),
-    and the proximity gamma0 at mu0 = gap0/n, gap0 = x0'z0, is below the
-    admission threshold.  gamma0 is reported as inf where the scaling
-    vector is undefined: for non-interior starts, where mu0 is not finite
-    and positive (x0'z0 overflows or underflows), and where some
-    x0_i z0_i / mu0 underflows to zero.
+    primal = ||A x - b||, dual = ||A'y + z - grad f(x)||, complementarity
+    = x'z, all in the Euclidean norm, plus the smallest components of x
+    and z.
     """
 
-    primal_residual: float
-    dual_residual: float
+    primal: float
+    dual: float
+    complementarity: float
     min_x: float
     min_z: float
-    gap0: float
-    gamma0: float
-    admissible: bool
 
 
 def _reported_norm(v: np.ndarray) -> float:
@@ -283,42 +283,73 @@ def _reported_norm(v: np.ndarray) -> float:
     return norm
 
 
+def kkt_residuals(p: Problem, x, y, z) -> KktResiduals:
+    """Evaluate the optimality-system residuals of a candidate triple.
+
+    Dimension mismatches raise ValueError.
+    """
+    x = np.asarray(x, dtype=float)
+    y = np.asarray(y, dtype=float)
+    z = np.asarray(z, dtype=float)
+    if x.shape != (p.n,) or y.shape != (p.m,) or z.shape != (p.n,):
+        raise ValueError("candidate dimensions do not match the problem")
+    # An extreme triple may overflow these products and norms: reported, not warned.
+    with np.errstate(over="ignore"):
+        gradient = p.objective.evaluate(x)[1]
+        return KktResiduals(
+            primal=_reported_norm(p.A @ x - p.b),
+            dual=_reported_norm(p.A.T @ y + z - gradient),
+            complementarity=float(x @ z),
+            min_x=float(x.min()),
+            min_z=float(z.min()),
+        )
+
+
+@dataclass(frozen=True)
+class FeasibilityReport:
+    """Graded start-point check: the start's KKT residuals and proximity.
+
+    `admissible` is true iff the start is strictly interior (both minima
+    of `residuals` positive), its primal residual is within 1e-8 (1 + ||b||)
+    and its dual residual within 1e-8 (1 + ||grad f(x0)||), and the
+    proximity gamma0 at mu0 = x0'z0 / n, the complementarity over n, is
+    below the admission threshold.  gamma0 is reported as inf where the
+    scaling vector is undefined: for non-interior starts, where mu0 is not
+    finite and positive (x0'z0 overflows or underflows), and where some
+    x0_i z0_i / mu0 underflows to zero.
+    """
+
+    residuals: KktResiduals
+    gamma0: float
+    admissible: bool
+
+
 def validate_start(p: Problem, s: StartPoint, r: int) -> FeasibilityReport:
     """Grade a candidate start against the solver's admission conditions.
 
     A start is admissible when it is strictly interior, primal and dual
-    feasible within tolerance, and its proximity is below 1/e^r.
-    Dimension mismatches raise ValueError; every other defect is
-    reported, not raised.
+    feasible within tolerance, and its proximity is below 1/e^r.  The
+    residuals are `kkt_residuals` at (x0, y0, z0).  Dimension mismatches
+    raise ValueError; every other defect is reported, not raised.
     """
     r = _checked_power(r)
-    n, m = p.n, p.m
-    if s.x0.shape != (n,) or s.y0.shape != (m,) or s.z0.shape != (n,):
-        raise ValueError("start point dimensions do not match the problem")
-    # An extreme start may overflow these products and norms: graded, not warned.
+    residuals = kkt_residuals(p, s.x0, s.y0, s.z0)
+    # An extreme start may overflow its gradient's norm: graded, not warned.
     with np.errstate(over="ignore"):
         gradient = p.objective.evaluate(s.x0)[1]
-        primal_residual = _reported_norm(p.A @ s.x0 - p.b)
-        dual_residual = _reported_norm(p.A.T @ s.y0 + s.z0 - gradient)
         feasible = (
-            primal_residual <= _START_RTOL * (1.0 + _reported_norm(p.b))
-            and dual_residual <= _START_RTOL * (1.0 + _reported_norm(gradient))
+            residuals.primal <= _START_RTOL * (1.0 + _reported_norm(p.b))
+            and residuals.dual <= _START_RTOL * (1.0 + _reported_norm(gradient))
         )
-        gap0 = float(s.x0 @ s.z0)
-    min_x = float(s.x0.min())
-    min_z = float(s.z0.min())
     try:
-        gamma0 = proximity(s.x0, s.z0, gap0 / n, r)
+        gamma0 = proximity(s.x0, s.z0, residuals.complementarity / p.n, r)
     except InteriorError:
         gamma0 = math.inf  # no scaling vector
+    interior = residuals.min_x > 0.0 and residuals.min_z > 0.0
     return FeasibilityReport(
-        primal_residual=primal_residual,
-        dual_residual=dual_residual,
-        min_x=min_x,
-        min_z=min_z,
-        gap0=gap0,
+        residuals=residuals,
         gamma0=gamma0,
-        admissible=min_x > 0.0 and min_z > 0.0 and feasible and gamma0 < math.exp(-r),
+        admissible=interior and feasible and gamma0 < math.exp(-r),
     )
 
 

@@ -317,7 +317,7 @@ def solve_many(
     reports = [validate_start(p, p.start, cfg.r) for p in problems]
     bounds = []
     for p, report in zip(problems, reports):
-        mu0 = report.gap0 / p.n
+        mu0 = report.residuals.complementarity / p.n
         positive = math.isfinite(mu0) and mu0 > 0.0
         bounds.append(iteration_bound(mu0, p.n, cfg.r, cfg.epsilon) if positive else 0)
 
@@ -329,17 +329,13 @@ def solve_many(
     shrink = 1.0 - cfg.resolved_theta(n)
     x, y, z = (np.array([getattr(p.start, key) for p in problems]) for key in ("x0", "y0", "z0"))
     A, b = (np.array([getattr(p, key) for p in problems]) for key in ("A", "b"))
-    gap = np.array([report.gap0 for report in reports])
+    gap = np.array([report.residuals.complementarity for report in reports])
     mu = gap / n
     limit = np.array([cfg.resolved_max_iterations(bound) for bound in bounds])
-    with np.errstate(all="ignore"):  # f at an inadmissible start may overflow
-        hessian = np.array([p.objective.evaluate(x[k])[2] for k, p in enumerate(problems)])
-    space = _null_space(A, hessian)  # the Hessian of f is constant
-    # The gradient is c + Q x, as ObjectiveSpec.evaluate has it, with Q = 0
-    # for a linear objective.
-    c = np.array([p.objective.c for p in problems])
-    Q = hessian
-    Q[[p.objective.kind == "linear" for p in problems]] = 0.0
+    # The gradient is c + Q x, as ObjectiveSpec.evaluate has it, with Q the
+    # constant Hessian.
+    c, Q = (np.array([getattr(p.objective, key) for p in problems]) for key in ("c", "hessian"))
+    space = _null_space(A, Q)
     parts = [[] for _ in problems]
     if on_block is None:
 

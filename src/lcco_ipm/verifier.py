@@ -1,12 +1,11 @@
 """Independent correctness oracles for small instances.
 
-`kkt_residuals` measures how far a candidate triple sits from the
-optimality system (primal and dual feasibility plus the duality gap).
 The two reference solvers brute-force the exact optimum by enumeration:
 vertex enumeration over basis subsets for linear objectives, active-set
 enumeration over pinned-variable subsets for convex quadratics.  Both are
 deliberately dumb and deterministic, so they share no code path with the
-interior-point solver they vouch for.
+interior-point solver they vouch for.  A candidate's distance from the
+optimality system, which also grades a start, is `problem.kkt_residuals`.
 """
 
 from __future__ import annotations
@@ -17,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .problem import Problem, _reported_norm
+from .problem import Problem
 
 __all__ = [
     "LP_SIZE_LIMIT",
@@ -26,9 +25,7 @@ __all__ = [
     "InfeasibleError",
     "UnboundedError",
     "DegenerateError",
-    "KktResiduals",
     "ReferenceSolution",
-    "kkt_residuals",
     "reference_solve_lp",
     "reference_solve_qp",
 ]
@@ -63,41 +60,6 @@ class UnboundedError(OracleError):
 
 class DegenerateError(OracleError):
     """Feasible candidates exist but none carries an optimality certificate."""
-
-
-@dataclass(frozen=True)
-class KktResiduals:
-    """Distance of a triple (x, y, z) from the optimality system.
-
-    primal = ||A x - b||, dual = ||A'y + z - grad f(x)||, complementarity
-    = x'z, all in the Euclidean norm, plus the smallest components of x
-    and z.
-    """
-
-    primal: float
-    dual: float
-    complementarity: float
-    min_x: float
-    min_z: float
-
-
-def kkt_residuals(p: Problem, x, y, z) -> KktResiduals:
-    """Evaluate the optimality-system residuals of a candidate triple."""
-    x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=float)
-    z = np.asarray(z, dtype=float)
-    if x.shape != (p.n,) or y.shape != (p.m,) or z.shape != (p.n,):
-        raise ValueError("candidate dimensions do not match the problem")
-    # An extreme triple may overflow these products and norms: reported, not warned.
-    with np.errstate(over="ignore"):
-        gradient = p.objective.evaluate(x)[1]
-        return KktResiduals(
-            primal=_reported_norm(p.A @ x - p.b),
-            dual=_reported_norm(p.A.T @ y + z - gradient),
-            complementarity=float(x @ z),
-            min_x=float(x.min()),
-            min_z=float(z.min()),
-        )
 
 
 @dataclass(frozen=True, eq=False)

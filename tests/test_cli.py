@@ -96,8 +96,12 @@ class TestExitCodes:
         assert main(["solve", str(instance_path), "--theta", "abc"]) == 1
         assert main(["sweep", str(instance_path), "--r-max", "2",
                      "--out", str(tmp_path / "s.csv"), "--jobs", "2"]) == 1
+        assert main(["sweep", str(instance_path), "--r-max", "2", "--eps", "-1",
+                     "--out", str(tmp_path / "s.csv")]) == 1
         err = capsys.readouterr().err
-        assert err.count("error:") == 5
+        assert err.count("error:") == 6
+        # A sweep's flags are checked before its --out is touched.
+        assert not (tmp_path / "s.csv").exists()
 
     def test_malformed_instance_exits_one(self, tmp_path, capsys):
         path = tmp_path / "broken.lcco"
@@ -295,6 +299,24 @@ class TestSolve:
         lines = trace_path.read_text().splitlines()
         assert lines[0] == TRACE_HEADER
         assert len(lines) == 218
+
+    def test_an_unwritable_trace_fails_before_the_solve(
+        self, tmp_path, instance_path, monkeypatch, capsys
+    ):
+        calls = []
+
+        def counting(*args):
+            calls.append(args)
+            return solve(*args)
+
+        monkeypatch.setattr(cli, "solve", counting)
+        trace_path = tmp_path / "missing" / "trace.csv"
+        code = main(["solve", str(instance_path), "--trace", str(trace_path), "--check"])
+        assert code == 1
+        assert calls == []
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(f"error: cannot write {trace_path}: ")
 
     def test_check_agrees_with_the_reference(self, instance_path, capsys):
         code = main(["solve", str(instance_path), "--check"])

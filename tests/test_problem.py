@@ -55,7 +55,12 @@ class TestObjective:
         assert value == 0.0
         assert np.array_equal(gradient, [1.0, -2.0, 0.5])
         assert np.array_equal(hessian, np.zeros((3, 3)))
+        assert hessian is spec.hessian and not hessian.flags.writeable
         assert spec.evaluate([2.0, 1.0, 0.0])[0] == 0.0
+        # The gradient of a linear objective is c, so a raw one carrying Q
+        # has the zero Hessian too.
+        raw = ObjectiveSpec(kind="linear", c=[1.0, 1.0], Q=np.eye(2))
+        assert np.array_equal(raw.hessian, np.zeros((2, 2)))
 
     def test_quadratic_examples(self):
         spec = ObjectiveSpec.quadratic([0.0, 0.0], [[2.0, 0.0], [0.0, 4.0]])
@@ -63,6 +68,7 @@ class TestObjective:
         assert value == 3.0
         assert np.array_equal(gradient, [2.0, 4.0])
         assert np.array_equal(hessian, [[2.0, 0.0], [0.0, 4.0]])
+        assert hessian is spec.hessian and not hessian.flags.writeable
         assert spec.evaluate([2.0, 0.0])[0] == 4.0
 
     def test_evaluation_is_legal_on_the_boundary(self):
@@ -138,17 +144,17 @@ class TestStartValidation:
             report = validate_start(p, p.start, r)
             assert report.admissible
             assert report.gamma0 == 0.0
-            assert report.primal_residual == 0.0
-            assert report.dual_residual <= 1e-12
-            assert report.min_x == 1.0
-            assert report.min_z == 1.0
+            assert report.residuals.primal == 0.0
+            assert report.residuals.dual <= 1e-12
+            assert report.residuals.min_x == 1.0
+            assert report.residuals.min_z == 1.0
 
     def test_boundary_start_reports_infinite_proximity(self):
         p = small_problem()
         start = StartPoint(x0=[0.0, 2.0], y0=[0.0], z0=[1.0, 1.0])
         report = validate_start(p, start, 1)
         assert not report.admissible
-        assert report.min_x == 0.0
+        assert report.residuals.min_x == 0.0
         assert report.gamma0 == math.inf
 
     @pytest.mark.parametrize("x0, z0", [([1.0, 1.0], [1e308, 1e308]),
@@ -162,7 +168,7 @@ class TestStartValidation:
             warnings.simplefilter("error")
             report = validate_start(small_problem(), StartPoint(x0=x0, y0=[0.0], z0=z0), 1)
         assert not report.admissible
-        assert report.gap0 == sum(a * b for a, b in zip(x0, z0))
+        assert report.residuals.complementarity == sum(a * b for a, b in zip(x0, z0))
         assert report.gamma0 == math.inf
 
     def test_residuals_whose_squares_overflow_stay_finite(self):
@@ -171,15 +177,15 @@ class TestStartValidation:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             report = validate_start(p, StartPoint(x0=x0, y0=p.start.y0, z0=p.start.z0), 1)
-        assert report.primal_residual == pytest.approx(math.hypot(*(p.A @ x0 - p.b)), rel=1e-14)
-        assert 0.0 < report.dual_residual < math.inf
+        assert report.residuals.primal == pytest.approx(math.hypot(*(p.A @ x0 - p.b)), rel=1e-14)
+        assert 0.0 < report.residuals.dual < math.inf
         assert not report.admissible
 
     def test_dual_residual_reflects_a_shifted_slack(self):
         p = generate_instance(4, 2, "linear", 3)
         start = StartPoint(x0=p.start.x0, y0=p.start.y0, z0=p.start.z0 + 0.1)
         report = validate_start(p, start, 1)
-        assert report.dual_residual == pytest.approx(0.1 * math.sqrt(4), rel=1e-12)
+        assert report.residuals.dual == pytest.approx(0.1 * math.sqrt(4), rel=1e-12)
 
     def test_off_center_start_below_the_threshold_is_admissible(self):
         p = generate_instance(4, 2, "linear", 3)
@@ -189,7 +195,7 @@ class TestStartValidation:
         y0[0] -= delta
         start = StartPoint(x0=p.start.x0, y0=y0, z0=z0)
         report = validate_start(p, start, 1)
-        assert report.dual_residual <= 1e-12
+        assert report.residuals.dual <= 1e-12
         assert 0.0 < report.gamma0 < math.exp(-1)
         assert report.admissible
 

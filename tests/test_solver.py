@@ -198,9 +198,10 @@ class TestConvergedRuns:
         assert trace_to_csv(a.trace) == trace_to_csv(b.trace)
 
     def test_evaluates_the_objective_only_at_the_start(self, monkeypatch):
-        # validate_start, then the start for the constant Hessian; each new
-        # iterate's gradient is c + Q x over the batch, whose bits the
-        # replay below checks against ObjectiveSpec.evaluate.
+        # validate_start, for the start's residuals and its gradient's norm;
+        # the loop reads the constant Hessian, and each new iterate's
+        # gradient is c + Q x over the batch, whose bits the replay below
+        # checks against ObjectiveSpec.evaluate.
         p = generate_instance(6, 3, "quadratic", 5)
         evaluate = ObjectiveSpec.evaluate
         calls = []
@@ -214,6 +215,7 @@ class TestConvergedRuns:
         assert result.status == "converged"
         assert result.iterations > 0
         assert len(calls) == 2
+        assert all(np.array_equal(x, p.start.x0) for x in calls)
 
     def test_evaluates_the_kernel_three_times_per_step(self, monkeypatch):
         # The step and its scaled directions share one p(before.w); the
